@@ -30,7 +30,7 @@ from .events import (
     ledger_crosscheck,
     slo_breach,
 )
-from .live import LiveRegistry, LiveTelemetry, SLOSpec, SLOTracker
+from .live import LiveTelemetry, SLOSpec, SLOTracker
 from .trace import (
     NULL_SPAN,
     TRACE_ENV,
@@ -50,7 +50,6 @@ from .trace import (
 __all__ = [
     "EngineFallbackWarning",
     "LedgerDriftWarning",
-    "LiveRegistry",
     "LiveTelemetry",
     "NULL_SPAN",
     "SLOSpec",

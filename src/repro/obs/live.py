@@ -1,48 +1,49 @@
 """Live telemetry: windowed metrics, per-zone SLOs and ops rendering.
 
 The base registry (:mod:`repro.obs.metrics`) is lifetime-cumulative: good
-for post-hoc folds, useless for "what is the p99 *right now*" while the
-estimation service is under load.  This module layers ring-buffer time
-windows on top of it via the registry's **tap** hook: a
-:class:`LiveRegistry` registered with :func:`metrics.add_tap` mirrors
-every ``inc``/``observe`` into a set of :class:`RingWindow` rings
-(default 16×1 s and 12×10 s slots), so ``rate()``, ``window_quantile()``
-and per-window p50/p99 are readable at any moment.  Windowed histograms
-merge by exactly the bucket-addition rules of
-:func:`metrics.merge_histogram`, so the ±4.4 % quantile error bound of the
-lifetime registry carries over unchanged.
+for post-hoc folds, useless for "what is the p99 *right now*" under load.
+This module derives time windows from it by **snapshot differencing** and
+leaves the write path alone: ``inc``/``observe`` stay one locked dict
+update whether or not telemetry is attached.  Per :class:`WindowSpec`
+(default 16×1 s and 12×10 s slots) a :class:`RingWindow` keeps the
+previous ``metrics.snapshot()`` and a ring of per-slot deltas.
 
-**Conservation invariant.**  When a ring reclaims a slot whose epoch has
-passed out of the window, the slot's counters (and histograms) are folded
-into a per-ring *expired* accumulator before the slot is reused.  The sum
-``expired + all slots`` therefore equals every value ever recorded —
-:meth:`LiveTelemetry.reconcile` checks it **bit-exactly** against the
-lifetime counter deltas since attach, which is how the benchmark and CI
-prove the windows drop nothing under concurrent load.
+**Rolling.**  The server's evaluator ticks once per smallest slot width,
+and every windowed read first rolls each ring whose epoch has advanced:
+one shared snapshot minus the ring's previous one becomes the delta of
+slot ``epoch(now) − 1``, and deltas that left the window fold into an
+*expired* accumulator.  Slot membership is thus decided at the tick, not
+at the write: an evaluator stall of k slots puts its whole backlog in the
+last completed slot.  Reads that include the current slot add its pending
+part, ``live − previous``.
 
-**SLOs.**  A declarative :class:`SLOSpec` (p99 latency target, max shed
-rate, max engine-fallback rate, max tracker-innovation z-score) is
-evaluated once per completed window slot, per scope (``global`` plus one
-scope per zone seen in the metric stream).  Each scope keeps an error
-budget: with ``budget`` = fraction of slots allowed to violate and
-``burn_slots`` = the look-back, the burn rate is
-``bad_slots / burn_slots / budget`` — at the defaults (0.125 over 8
-slots) one bad slot burns the whole budget (burn = 1.0) and the *second*
-bad slot pushes burn past 1.0 and fires a structured ``slo_breach``
-alert through :func:`repro.obs.events.slo_breach`.  A latency spike
-therefore alerts within two windows, and isolated single-slot blips
-never page.
+**Deltas.**  Counters subtract; histogram count, sum and log buckets
+subtract because :func:`metrics.merge_histogram` merges by addition, so
+windowed quantiles keep the registry's ±4.4 % bound.  Min/max cannot
+subtract: a lifetime extremum that moved during the slot is the slot's,
+exactly; otherwise the geometric midpoint of the slot's lowest/highest
+non-empty bucket, clamped into the lifetime envelope, stands in (±4.4 %).
+
+**Conservation.**  ``expired + deltas + pending`` equals the lifetime
+change since attach; :meth:`LiveTelemetry.reconcile` checks it
+**bit-exactly** per counter, so a roll that drops or double-counts a slot
+fails the benchmark and CI.
+
+**SLOs.**  A declarative :class:`SLOSpec` is judged once per completed
+slot, per scope (``global`` plus one per zone in the metric stream), by
+an error-budget :class:`SLOTracker`: at the defaults (budget 0.125 over
+8 slots) the *second* bad slot in the look-back pushes the burn rate past
+1.0 and fires :func:`repro.obs.events.slo_breach`, so a latency spike
+alerts within two windows and single-slot blips never page.
 
 **Rendering.**  :func:`render_prometheus` emits the classic text
-exposition (counters as ``_total``, histograms as summaries with
-``quantile`` labels, zone scopes as ``{zone="..."}`` labels);
-:func:`render_top` draws the ``repro-rfid obs top`` terminal dashboard
-from one ``metrics.watch`` payload.
+exposition; :func:`render_top` draws the ``repro-rfid obs top``
+dashboard from one ``metrics.watch`` payload.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, fields
@@ -53,7 +54,6 @@ from . import metrics as _metrics
 __all__ = [
     "DEFAULT_SLO",
     "DEFAULT_WINDOWS",
-    "LiveRegistry",
     "LiveTelemetry",
     "RingWindow",
     "SLOSpec",
@@ -88,275 +88,146 @@ DEFAULT_WINDOWS = (
 )
 
 
-class _Slot:
-    """One ring slot: the counters/histograms recorded during one epoch."""
-
-    __slots__ = ("epoch", "counters", "hists")
-
-    def __init__(self) -> None:
-        self.epoch: int | None = None
-        self.counters: dict[str, float] = {}
-        self.hists: dict[str, dict] = {}
+def _bucket_mid(key: str) -> float:
+    """Geometric midpoint of one sparse log bucket (0 for ``"lo"``)."""
+    if key == _metrics._BUCKET_NONPOS:
+        return 0.0
+    return math.exp((int(key) + 0.5) * _metrics._BUCKET_LOG_BASE)
 
 
-def _observe_into(hists: dict[str, dict], name: str, value: float) -> None:
-    """Fold one sample into a slot-local histogram (same shape as the
-    registry's: count/sum/min/max + sparse log buckets)."""
-    key = _metrics._bucket_key(value)
-    h = hists.get(name)
-    if h is None:
-        hists[name] = {
-            "count": 1,
-            "sum": value,
-            "min": value,
-            "max": value,
-            "buckets": {key: 1},
-        }
-    else:
-        h["count"] += 1
-        h["sum"] += value
-        if value < h["min"]:
-            h["min"] = value
-        if value > h["max"]:
-            h["max"] = value
-        buckets = h["buckets"]
-        buckets[key] = buckets.get(key, 0) + 1
+def _hist_delta(cur: dict, prev: dict | None) -> dict | None:
+    """Histogram ``cur − prev`` (``None`` when no sample landed between).
+
+    Count, sum and buckets subtract.  An extremum the lifetime envelope
+    moved to is exact; an unmoved one is estimated from the delta's
+    lowest/highest bucket midpoint, clamped into the lifetime envelope.
+    """
+    if prev is None:
+        return _metrics._copy_hist(cur)
+    count = cur["count"] - prev["count"]
+    if count <= 0:
+        return None
+    old = prev["buckets"]
+    buckets = {
+        key: n - old.get(key, 0)
+        for key, n in cur["buckets"].items()
+        if n != old.get(key, 0)
+    }
+    lo, hi = cur["min"], cur["max"]
+    moved_lo = lo < prev["min"]
+    mids = sorted(_bucket_mid(key) for key in buckets)
+    slot_lo = lo if moved_lo else min(max(mids[0], lo), hi)
+    slot_hi = hi if hi > prev["max"] else min(max(mids[-1], lo), hi)
+    if slot_lo > slot_hi:  # one exact extremum, one estimate in its bucket
+        slot_lo = slot_hi = lo if moved_lo else hi
+    return {"count": count, "sum": cur["sum"] - prev["sum"],
+            "min": slot_lo, "max": slot_hi, "buckets": buckets}
+
+
+def _delta(cur: dict, prev: dict) -> tuple[dict, dict]:
+    """Counter and histogram change from snapshot ``prev`` to ``cur``."""
+    old = prev["counters"]
+    counters = {
+        name: value - old.get(name, 0)
+        for name, value in cur["counters"].items()
+        if value != old.get(name, 0)
+    }
+    hists = {}
+    for name, hist in cur["histograms"].items():
+        delta = _hist_delta(hist, prev["histograms"].get(name))
+        if delta is not None:
+            hists[name] = delta
+    return counters, hists
 
 
 class RingWindow:
-    """Fixed-size ring of time slots over counters and log-bucket histograms.
+    """One window: the previous registry snapshot plus per-slot deltas.
 
-    Slots are reclaimed **lazily**: a write whose epoch differs from the
-    slot's stamped epoch first folds the stale slot into the ``expired``
-    accumulators, so nothing recorded is ever lost —
-    ``totals() == expired + sum(slots)`` holds bit-exactly at all times.
-    Not thread-safe on its own; :class:`LiveRegistry` serialises access.
+    ``epoch`` is the open slot.  :meth:`roll` closes it: ``snap − prev``
+    becomes the delta of slot ``epoch(now) − 1``, and deltas older than
+    the window fold into the expired accumulator, so
+    ``expired + deltas == prev − attach-time snapshot`` at all times.
+    Reads assume a fresh roll; their ``pending`` argument is the open
+    slot's ``(counters, hists)`` delta, or ``None`` to leave it out.
     """
 
-    def __init__(self, spec: WindowSpec) -> None:
+    def __init__(self, spec: WindowSpec, snap: dict, now: float) -> None:
         self.spec = spec
-        self._slots = [_Slot() for _ in range(spec.slots)]
-        self._expired_counters: dict[str, float] = {}
-        self._expired_hists: dict[str, dict] = {}
-        self._first_epoch: int | None = None
+        self.prev = snap
+        self.epoch = self.first_epoch = self.epoch_of(now)
+        self.deltas: deque[tuple[int, dict, dict]] = deque()
+        self.expired: tuple[dict, dict] = ({}, {})
 
-    # ------------------------------------------------------------------
     def epoch_of(self, now: float) -> int:
         """The slot epoch containing monotonic timestamp ``now``."""
         return int(now // self.spec.width_seconds)
 
-    def _slot_for(self, epoch: int) -> _Slot:
-        """The (reclaimed if stale) slot owning ``epoch``."""
-        slot = self._slots[epoch % self.spec.slots]
-        if slot.epoch != epoch:
-            if slot.epoch is not None:
-                for name, value in slot.counters.items():
-                    self._expired_counters[name] = (
-                        self._expired_counters.get(name, 0) + value
-                    )
-                for name, hist in slot.hists.items():
-                    self._expired_hists[name] = _metrics.merge_histogram(
-                        self._expired_hists.get(name), hist
-                    )
-            slot.epoch = epoch
-            slot.counters = {}
-            slot.hists = {}
-        return slot
-
-    def record_inc(self, name: str, value: float, now: float) -> None:
+    def roll(self, now: float, snap: dict) -> None:
+        """Close the open slot with ``snap`` and expire old deltas."""
         epoch = self.epoch_of(now)
-        if self._first_epoch is None:
-            self._first_epoch = epoch
-        slot = self._slot_for(epoch)
-        slot.counters[name] = slot.counters.get(name, 0) + value
+        counters, hists = _delta(snap, self.prev)
+        if counters or hists:
+            self.deltas.append((epoch - 1, counters, hists))
+        self.prev, self.epoch = snap, epoch
+        expired_counters, expired_hists = self.expired
+        while self.deltas and self.deltas[0][0] <= epoch - self.spec.slots:
+            _, counters, hists = self.deltas.popleft()
+            for name, value in counters.items():
+                expired_counters[name] = expired_counters.get(name, 0) + value
+            for name, hist in hists.items():
+                expired_hists[name] = _metrics.merge_histogram(
+                    expired_hists.get(name), hist
+                )
 
-    def record_observe(self, name: str, value: float, now: float) -> None:
-        epoch = self.epoch_of(now)
-        if self._first_epoch is None:
-            self._first_epoch = epoch
-        slot = self._slot_for(epoch)
-        _observe_into(slot.hists, name, value)
+    def _slots(self, pending):
+        yield from self.deltas
+        if pending is not None:
+            yield (self.epoch, *pending)
 
-    # ------------------------------------------------------------------
-    def _live_slots(self, now: float, *, include_current: bool = True):
-        """Slots whose epoch lies inside the window ending at ``now``."""
-        current = self.epoch_of(now)
-        lo = current - self.spec.slots + 1
-        hi = current if include_current else current - 1
-        for slot in self._slots:
-            if slot.epoch is not None and lo <= slot.epoch <= hi:
-                yield slot
-
-    def count(self, name: str, now: float, *, include_current: bool = True) -> float:
-        """Sum of counter ``name`` over the live window."""
-        return sum(
-            slot.counters.get(name, 0)
-            for slot in self._live_slots(now, include_current=include_current)
+    def count(self, name: str, pending=None, *, since_attach: bool = False) -> float:
+        """Counter ``name`` summed over the window (plus the expired fold
+        with ``since_attach``)."""
+        total = self.expired[0].get(name, 0) if since_attach else 0
+        return total + sum(
+            counters.get(name, 0) for _, counters, _ in self._slots(pending)
         )
 
-    def rate(self, name: str, now: float) -> float:
-        """Per-second rate of counter ``name`` over *completed* live slots.
-
-        The current (partial) slot is excluded so a read early in a slot
-        does not understate the rate.  The divisor is the number of
-        completed slots that could have held data (clamped to the ring
-        size), so a freshly started window does not dilute the rate with
-        slots that predate the first record.
+    def rate(self, name: str) -> float:
+        """Per-second rate of counter ``name`` over *completed* slots: the
+        open slot would understate it, and the divisor counts only slots
+        since attach (clamped to the ring) so a fresh window is not diluted.
         """
-        if self._first_epoch is None:
-            return 0.0
-        current = self.epoch_of(now)
-        covered = max(1, min(self.spec.slots - 1, current - self._first_epoch))
-        total = self.count(name, now, include_current=False)
-        return total / (covered * self.spec.width_seconds)
+        covered = max(1, min(self.spec.slots - 1, self.epoch - self.first_epoch))
+        return self.count(name) / (covered * self.spec.width_seconds)
 
-    def histogram(self, name: str, now: float) -> dict | None:
-        """Live-window histogram of ``name`` (merged by bucket addition)."""
-        merged: dict | None = None
-        for slot in self._live_slots(now):
-            hist = slot.hists.get(name)
+    def histogram(
+        self, name: str, pending=None, *, since_attach: bool = False
+    ) -> dict | None:
+        """Histogram ``name`` merged over the window by bucket addition
+        (plus the expired fold with ``since_attach``)."""
+        expired = self.expired[1].get(name) if since_attach else None
+        merged = None if expired is None else _metrics._copy_hist(expired)
+        for _, _, hists in self._slots(pending):
+            hist = hists.get(name)
             if hist is not None:
                 merged = _metrics.merge_histogram(merged, hist)
         return merged
 
-    def quantile(self, name: str, q: float, now: float) -> float | None:
-        return _metrics.quantile(self.histogram(name, now), q)
-
-    # ------------------------------------------------------------------
-    def totals(self, name: str) -> float:
-        """Everything ever recorded for counter ``name``: expired + slots.
-
-        This is the conservation invariant the reconciliation check
-        depends on — stale-but-unreclaimed slots are deliberately
-        included, so the sum is exact regardless of where the ring
-        currently points.
-        """
-        total = self._expired_counters.get(name, 0)
-        for slot in self._slots:
-            total += slot.counters.get(name, 0)
-        return total
-
-    def total_histogram(self, name: str) -> dict | None:
-        """Lifetime histogram of ``name``: expired fold + every slot."""
-        merged: dict | None = None
-        expired = self._expired_hists.get(name)
-        if expired is not None:
-            merged = _metrics.merge_histogram(merged, expired)
-        for slot in self._slots:
-            hist = slot.hists.get(name)
-            if hist is not None:
-                merged = _metrics.merge_histogram(merged, hist)
-        return merged
-
-    def counter_names(self) -> set[str]:
-        names = set(self._expired_counters)
-        for slot in self._slots:
-            names.update(slot.counters)
-        return names
-
-    def histogram_names(self) -> set[str]:
-        names = set(self._expired_hists)
-        for slot in self._slots:
-            names.update(slot.hists)
+    def names(self, pending=None) -> set[str]:
+        """Every metric name with data since attach."""
+        names = set(self.expired[0]) | set(self.expired[1])
+        for _, counters, hists in self._slots(pending):
+            names.update(counters)
+            names.update(hists)
         return names
 
     def slot_stats(self, epoch: int) -> tuple[dict, dict]:
-        """Counters + histograms of the slot stamped ``epoch`` (empty when
-        the slot has been reclaimed or never written)."""
-        slot = self._slots[epoch % self.spec.slots]
-        if slot.epoch != epoch:
-            return {}, {}
-        return slot.counters, slot.hists
-
-
-class LiveRegistry:
-    """A metrics tap fanning writes into a set of ring windows.
-
-    Register with :func:`repro.obs.metrics.add_tap`; the tap interface is
-    ``record_inc(name, value)`` / ``record_observe(name, value)``.  All
-    windows see every record, so their ``totals`` agree by construction.
-    """
-
-    def __init__(
-        self,
-        windows: tuple[WindowSpec, ...] = DEFAULT_WINDOWS,
-        *,
-        clock=time.monotonic,
-    ) -> None:
-        if not windows:
-            raise ValueError("at least one window spec is required")
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.windows: dict[str, RingWindow] = {
-            spec.name: RingWindow(spec) for spec in windows
-        }
-        self._default = next(iter(self.windows))
-
-    # -- tap interface (called from any thread, outside the registry lock)
-    def record_inc(self, name: str, value: float = 1) -> None:
-        now = self._clock()
-        with self._lock:
-            for window in self.windows.values():
-                window.record_inc(name, value, now)
-
-    def record_observe(self, name: str, value: float) -> None:
-        now = self._clock()
-        with self._lock:
-            for window in self.windows.values():
-                window.record_observe(name, value, now)
-
-    # -- reads
-    def _window(self, name: str | None) -> RingWindow:
-        key = self._default if name is None else name
-        try:
-            return self.windows[key]
-        except KeyError:
-            raise KeyError(
-                f"unknown window {name!r} (have {sorted(self.windows)})"
-            ) from None
-
-    def rate(self, name: str, window: str | None = None) -> float:
-        with self._lock:
-            return self._window(window).rate(name, self._clock())
-
-    def window_count(
-        self, name: str, window: str | None = None, *, include_current: bool = True
-    ) -> float:
-        with self._lock:
-            return self._window(window).count(
-                name, self._clock(), include_current=include_current
-            )
-
-    def window_histogram(self, name: str, window: str | None = None) -> dict | None:
-        with self._lock:
-            return self._window(window).histogram(name, self._clock())
-
-    def window_quantile(
-        self, name: str, q: float, window: str | None = None
-    ) -> float | None:
-        with self._lock:
-            return self._window(window).quantile(name, q, self._clock())
-
-    def totals(self, name: str, window: str | None = None) -> float:
-        with self._lock:
-            return self._window(window).totals(name)
-
-    def counter_names(self, window: str | None = None) -> set[str]:
-        with self._lock:
-            return self._window(window).counter_names()
-
-    def histogram_names(self, window: str | None = None) -> set[str]:
-        with self._lock:
-            return self._window(window).histogram_names()
-
-    def slot_stats(self, epoch: int, window: str | None = None) -> tuple[dict, dict]:
-        with self._lock:
-            counters, hists = self._window(window).slot_stats(epoch)
-            return dict(counters), {k: _metrics._copy_hist(v) for k, v in hists.items()}
-
-    def current_epoch(self, window: str | None = None) -> int:
-        with self._lock:
-            return self._window(window).epoch_of(self._clock())
+        """Counters + histograms of completed slot ``epoch`` (empty when
+        it held nothing or has expired)."""
+        for slot_epoch, counters, hists in self.deltas:
+            if slot_epoch == epoch:
+                return counters, hists
+        return {}, {}
 
 
 # ----------------------------------------------------------------------
@@ -441,51 +312,26 @@ class SLOTracker:
         Returns a status dict with the violations, the new burn rate and
         whether this slot *breaches* (bad slot AND burn > 1.0).
         """
-        spec = self.spec
         requests = float(stats.get("requests") or 0)
-        violations: list[dict] = []
-        p99 = stats.get("p99_ms")
-        if spec.p99_ms is not None and p99 is not None and p99 > spec.p99_ms:
-            violations.append(
-                {"objective": "p99_ms", "observed": p99, "target": spec.p99_ms}
-            )
-        if spec.max_shed_rate is not None:
-            shed = float(stats.get("shed") or 0)
-            shed_rate = shed / requests if requests > 0 else (1.0 if shed else 0.0)
-            if shed_rate > spec.max_shed_rate:
-                violations.append(
-                    {
-                        "objective": "max_shed_rate",
-                        "observed": shed_rate,
-                        "target": spec.max_shed_rate,
-                    }
-                )
-        if spec.max_fallback_rate is not None:
-            fallbacks = float(stats.get("fallbacks") or 0)
-            fallback_rate = (
-                fallbacks / requests if requests > 0 else (1.0 if fallbacks else 0.0)
-            )
-            if fallback_rate > spec.max_fallback_rate:
-                violations.append(
-                    {
-                        "objective": "max_fallback_rate",
-                        "observed": fallback_rate,
-                        "target": spec.max_fallback_rate,
-                    }
-                )
-        innovation_z = stats.get("innovation_z")
-        if (
-            spec.max_innovation_z is not None
-            and innovation_z is not None
-            and innovation_z > spec.max_innovation_z
-        ):
-            violations.append(
-                {
-                    "objective": "max_innovation_z",
-                    "observed": innovation_z,
-                    "target": spec.max_innovation_z,
-                }
-            )
+
+        def per_request(key: str) -> float:
+            # No admitted requests: any shed/fallback at all reads as 100 %.
+            n = float(stats.get(key) or 0)
+            return n / requests if requests > 0 else (1.0 if n else 0.0)
+
+        observed = {
+            "p99_ms": stats.get("p99_ms"),
+            "max_shed_rate": per_request("shed"),
+            "max_fallback_rate": per_request("fallbacks"),
+            "max_innovation_z": stats.get("innovation_z"),
+        }
+        violations = [
+            {"objective": objective, "observed": value, "target": target}
+            for objective, value in observed.items()
+            if (target := getattr(self.spec, objective)) is not None
+            and value is not None
+            and value > target
+        ]
         bad = bool(violations)
         self._verdicts.append(bad)
         burn = self.burn_rate
@@ -536,12 +382,15 @@ def zone_metric(zone: str, suffix: str) -> str:
 class LiveTelemetry:
     """The service's live-telemetry front: windows + SLO trackers + alerts.
 
-    Owns a :class:`LiveRegistry`, attaches it as a metrics tap, and
+    Holds one :class:`RingWindow` per :class:`WindowSpec`, rolled from
+    registry snapshots between :meth:`attach` and :meth:`detach`, and
     evaluates the configured :class:`SLOSpec` once per completed slot of
     the SLO window — per scope: ``global`` (the whole server) plus one
     scope per zone observed in the metric stream.  Breaches fire
     :func:`repro.obs.events.slo_breach` and land in the bounded
     :attr:`alerts` deque that ``metrics.watch`` / ``obs top`` surface.
+    Rolls and reads belong to one thread (the server's event loop);
+    writers on any thread reach the windows only through the registry.
     """
 
     def __init__(
@@ -551,30 +400,37 @@ class LiveTelemetry:
         windows: tuple[WindowSpec, ...] = DEFAULT_WINDOWS,
         clock=time.monotonic,
     ) -> None:
-        self.registry = LiveRegistry(windows, clock=clock)
+        if not windows:
+            raise ValueError("at least one window spec is required")
         self.slo = slo
         self._clock = clock
+        self._specs = tuple(windows)
         self._attached = False
-        self._baseline: dict[str, float] = {}
         self._last_epoch: int | None = None
         self._trackers: dict[str, SLOTracker] = {}
         self._status: dict[str, dict] = {}
         self.alerts: deque[dict] = deque(maxlen=64)
+        self._start({"counters": {}, "gauges": {}, "histograms": {}})
 
-    # ------------------------------------------------------------------
+    def _start(self, snap: dict) -> None:
+        """Fresh rings and counter baseline from registry snapshot ``snap``
+        (also what the rings see until the first attach)."""
+        now = self._clock()
+        self._baseline = snap["counters"]
+        self._frozen = snap
+        self.windows = {s.name: RingWindow(s, snap, now) for s in self._specs}
+
     def attach(self) -> None:
-        """Start mirroring the metrics stream (idempotent)."""
-        if self._attached:
-            return
-        self._baseline = dict(_metrics.snapshot()["counters"])
-        _metrics.add_tap(self.registry)
-        self._attached = True
+        """Start windowing the metrics stream (idempotent)."""
+        if not self._attached:
+            self._start(_metrics.snapshot())
+            self._attached = True
 
     def detach(self) -> None:
-        if not self._attached:
-            return
-        _metrics.remove_tap(self.registry)
-        self._attached = False
+        """Stop windowing: writes after this never reach the rings."""
+        if self._attached:
+            self._frozen = _metrics.snapshot()
+            self._attached = False
 
     def set_slo(self, slo: SLOSpec | None) -> None:
         """Swap the SLO spec; burn windows and alert history restart."""
@@ -584,19 +440,31 @@ class LiveTelemetry:
         self._last_epoch = None
 
     # ------------------------------------------------------------------
-    def zone_names(self) -> list[str]:
-        """Zones observed in the metric stream (window-lifetime union)."""
-        zones = set()
-        for name in self.registry.counter_names():
-            parsed = split_zone_metric(name)
-            if parsed is not None:
-                zones.add(parsed[0])
-        for name in self.registry.histogram_names():
-            parsed = split_zone_metric(name)
-            if parsed is not None:
-                zones.add(parsed[0])
-        return sorted(zones)
+    def _roll(self, now: float) -> dict:
+        """Roll every ring whose epoch has advanced, from one snapshot of
+        the registry (frozen once detached); return that snapshot."""
+        snap = _metrics.snapshot() if self._attached else self._frozen
+        for ring in self.windows.values():
+            if ring.epoch_of(now) > ring.epoch:
+                ring.roll(now, snap)
+        return snap
 
+    def _ring(self, window: str | None) -> RingWindow:
+        key = self._specs[0].name if window is None else window
+        try:
+            return self.windows[key]
+        except KeyError:
+            raise KeyError(
+                f"unknown window {window!r} (have {sorted(self.windows)})"
+            ) from None
+
+    def rate(self, name: str, window: str | None = None) -> float:
+        """Per-second rate of counter ``name`` over completed slots."""
+        ring = self._ring(window)
+        self._roll(self._clock())
+        return ring.rate(name)
+
+    # ------------------------------------------------------------------
     def _tracker(self, scope: str) -> SLOTracker:
         tracker = self._trackers.get(scope)
         if tracker is None:
@@ -606,60 +474,51 @@ class LiveTelemetry:
     @staticmethod
     def _scope_stats(scope: str, counters: dict, hists: dict) -> dict:
         """One slot's SLO inputs for a scope, from the slot's raw data."""
-        if scope == "global":
-            requests = counters.get("service.requests", 0)
-            shed = counters.get("service.admission.shed", 0)
-            fallbacks = counters.get("engine.fallback", 0)
-            seconds = hists.get("service.request.seconds")
-            innovation = None
-        else:
-            requests = counters.get(zone_metric(scope, "requests"), 0)
-            shed = counters.get(zone_metric(scope, "shed"), 0)
-            fallbacks = 0
-            seconds = hists.get(zone_metric(scope, "seconds"))
-            z_hist = hists.get(zone_metric(scope, "innovation_z"))
-            innovation = None if z_hist is None else z_hist.get("max")
+        zone = scope != "global"
+
+        def metric(suffix: str, global_name: str) -> str:
+            return zone_metric(scope, suffix) if zone else global_name
+
+        seconds = hists.get(metric("seconds", "service.request.seconds"))
         p99 = _metrics.quantile(seconds, 0.99)
+        z_hist = hists.get(zone_metric(scope, "innovation_z")) if zone else None
         return {
-            "requests": requests,
-            "shed": shed,
-            "fallbacks": fallbacks,
+            "requests": counters.get(metric("requests", "service.requests"), 0),
+            "shed": counters.get(metric("shed", "service.admission.shed"), 0),
+            "fallbacks": 0 if zone else counters.get("engine.fallback", 0),
             "p99_ms": None if p99 is None else p99 * 1000.0,
-            "innovation_z": innovation,
+            "innovation_z": None if z_hist is None else z_hist.get("max"),
         }
 
     def evaluate(self, now: float | None = None) -> list[dict]:
-        """Judge every completed-but-unjudged slot; return new alerts.
+        """Roll the windows, then judge every completed-but-unjudged slot.
 
-        Call periodically (the server's telemetry loop ticks once per
-        second).  Slots that completed while the evaluator was not
-        running are judged from whatever data is still live; slots
-        already expired from the ring are judged as idle (good), which
-        only ever *under*-alerts after a long evaluator stall.
+        Call once per smallest slot width (the server's telemetry loop
+        does); returns the new alerts.  The roll decides slot membership,
+        so slots that completed while the evaluator was stalled are
+        empty — their data sits in the last completed slot, judged from
+        whatever is still live — and slots already expired from the ring
+        are judged as idle (good), which only ever *under*-alerts after a
+        long evaluator stall.
         """
-        if self.slo is None:
-            return []
         if now is None:
             now = self._clock()
-        window = self.registry._window(self.slo.window)
-        current = window.epoch_of(now)
+        self._roll(now)
+        if self.slo is None:
+            return []
+        ring = self._ring(self.slo.window)
+        current = ring.epoch_of(now)
         if self._last_epoch is None:
             # First evaluation: everything before the current slot is
             # pre-history, not an unjudged backlog.
             self._last_epoch = current - 1
         new_alerts: list[dict] = []
         for epoch in range(self._last_epoch + 1, current):
-            counters, hists = self.registry.slot_stats(epoch, self.slo.window)
-            scopes = {"global"}
-            for name in counters:
-                parsed = split_zone_metric(name)
-                if parsed is not None:
-                    scopes.add(parsed[0])
+            counters, hists = ring.slot_stats(epoch)
+            scopes = {"global"} | {p[0] for p in map(split_zone_metric, counters) if p}
             # Zones with a burn history stay under evaluation even in
             # idle slots, so their budgets recover instead of freezing.
-            scopes.update(
-                scope for scope in self._trackers if scope != "global"
-            )
+            scopes.update(self._trackers)
             for scope in sorted(scopes):
                 stats = self._scope_stats(scope, counters, hists)
                 status = self._tracker(scope).evaluate_slot(stats)
@@ -669,9 +528,7 @@ class LiveTelemetry:
                     for violation in status["violations"]:
                         alert = _events.slo_breach(
                             scope,
-                            objective=violation["objective"],
-                            observed=violation["observed"],
-                            target=violation["target"],
+                            **violation,
                             burn_rate=status["burn_rate"],
                             window=self.slo.window,
                         )
@@ -685,16 +542,18 @@ class LiveTelemetry:
     def reconcile(self, names: list[str]) -> dict[str, dict]:
         """Windowed totals vs lifetime counter deltas, per counter name.
 
-        ``exact`` is a bit-exact ``==`` — at any quiescent point (no
-        in-flight writer between the registry update and the tap call)
-        the two must agree exactly, because the expired accumulator makes
-        the ring conservation-exact and taps mirror every write.
+        ``exact`` is a bit-exact ``==`` between the default ring's own
+        accumulation (expired fold + deltas + pending) and the lifetime
+        delta since attach, both read from one snapshot — a roll that
+        dropped or double-counted a slot breaks it.
         """
-        counters = _metrics.snapshot()["counters"]
+        snap = self._roll(self._clock())
+        ring = self._ring(None)
+        pending = _delta(snap, ring.prev)
         out: dict[str, dict] = {}
         for name in names:
-            lifetime = counters.get(name, 0) - self._baseline.get(name, 0)
-            windowed = self.registry.totals(name)
+            lifetime = snap["counters"].get(name, 0) - self._baseline.get(name, 0)
+            windowed = ring.count(name, pending, since_attach=True)
             out[name] = {
                 "lifetime_delta": lifetime,
                 "windowed": windowed,
@@ -705,25 +564,34 @@ class LiveTelemetry:
     # ------------------------------------------------------------------
     def watch_snapshot(self) -> dict:
         """One ``metrics.watch`` tick payload: global + per-zone rows."""
-        reg = self.registry
-        windows = sorted(reg.windows)
-        hit_m = reg.window_count("service.cache.memory_hit")
-        hit_d = reg.window_count("service.cache.disk_hit")
-        engine_calls = reg.window_count("service.engine.calls")
-        attempts = hit_m + engine_calls
-        hits = hit_m + hit_d
-        p50 = reg.window_quantile("service.request.seconds", 0.5)
-        p99 = reg.window_quantile("service.request.seconds", 0.99)
+        snap = self._roll(self._clock())
+        ring = self._ring(None)
+        pending = _delta(snap, ring.prev)
+
+        def count(name: str) -> float:
+            return ring.count(name, pending)
+
+        def latency(name: str) -> dict:
+            hist = ring.histogram(name, pending)
+            p50, p99 = (_metrics.quantile(hist, q) for q in (0.5, 0.99))
+            return {
+                "p50_ms": None if p50 is None else p50 * 1000.0,
+                "p99_ms": None if p99 is None else p99 * 1000.0,
+            }
+
+        windows = sorted(self.windows)
+        hit_m = count("service.cache.memory_hit")
+        attempts = hit_m + count("service.engine.calls")
+        hits = hit_m + count("service.cache.disk_hit")
         payload = {
             "wall": time.time(),
             "windows": windows,
             "global": {
-                "rps": {w: reg.rate("service.requests", w) for w in windows},
-                "p50_ms": None if p50 is None else p50 * 1000.0,
-                "p99_ms": None if p99 is None else p99 * 1000.0,
-                "requests": reg.window_count("service.requests"),
-                "shed": reg.window_count("service.admission.shed"),
-                "fallbacks": reg.window_count("engine.fallback"),
+                "rps": {w: self.windows[w].rate("service.requests") for w in windows},
+                **latency("service.request.seconds"),
+                "requests": count("service.requests"),
+                "shed": count("service.admission.shed"),
+                "fallbacks": count("engine.fallback"),
                 "cache_hit_rate": (hits / attempts) if attempts else None,
                 "burn_rate": self._status.get("global", {}).get("burn_rate", 0.0),
             },
@@ -731,21 +599,19 @@ class LiveTelemetry:
             "slo": None if self.slo is None else self.slo.to_dict(),
             "alerts": list(self.alerts)[-8:],
         }
-        for zone in self.zone_names():
-            zp50 = reg.window_quantile(zone_metric(zone, "seconds"), 0.5)
-            zp99 = reg.window_quantile(zone_metric(zone, "seconds"), 0.99)
-            requests = reg.window_count(zone_metric(zone, "requests"))
-            shed = reg.window_count(zone_metric(zone, "shed"))
-            z_hist = reg.window_histogram(zone_metric(zone, "innovation_z"))
+        zones = {p[0] for p in map(split_zone_metric, ring.names(pending)) if p}
+        for zone in sorted(zones):
+            requests = count(zone_metric(zone, "requests"))
+            shed = count(zone_metric(zone, "shed"))
+            z_hist = ring.histogram(zone_metric(zone, "innovation_z"), pending)
             payload["zones"].append(
                 {
                     "zone": zone,
-                    "rps": reg.rate(zone_metric(zone, "requests")),
+                    "rps": ring.rate(zone_metric(zone, "requests")),
                     "requests": requests,
                     "shed": shed,
                     "shed_rate": (shed / requests) if requests else 0.0,
-                    "p50_ms": None if zp50 is None else zp50 * 1000.0,
-                    "p99_ms": None if zp99 is None else zp99 * 1000.0,
+                    **latency(zone_metric(zone, "seconds")),
                     "innovation_z": None if z_hist is None else z_hist.get("max"),
                     "burn_rate": self._status.get(zone, {}).get("burn_rate", 0.0),
                 }
@@ -756,11 +622,8 @@ class LiveTelemetry:
         """Compact block for ``health`` responses."""
         return {
             "windows": {
-                name: {
-                    "slots": w.spec.slots,
-                    "width_seconds": w.spec.width_seconds,
-                }
-                for name, w in self.registry.windows.items()
+                s.name: {"slots": s.slots, "width_seconds": s.width_seconds}
+                for s in self._specs
             },
             "slo": None if self.slo is None else self.slo.to_dict(),
             "alerts": len(self.alerts),
@@ -820,11 +683,7 @@ def render_prometheus(
         emit(metric, "counter", zone_counters[metric])
 
     for name in sorted(snapshot.get("gauges") or {}):
-        emit(
-            _prom_name(name, namespace),
-            "gauge",
-            [("", snapshot["gauges"][name])],
-        )
+        emit(_prom_name(name, namespace), "gauge", [("", snapshot["gauges"][name])])
 
     zone_hists: dict[str, list[tuple[str, dict]]] = {}
     plain_hists: list[tuple[str, dict]] = []
@@ -857,8 +716,8 @@ def render_prometheus(
     if live is not None:
         metric = _prom_name("service.requests.rate", namespace)
         lines.append(f"# TYPE {metric} gauge")
-        for window in sorted(live.registry.windows):
-            rate = live.registry.rate("service.requests", window)
+        for window in sorted(live.windows):
+            rate = live.rate("service.requests", window)
             lines.append(f'{metric}{{window="{window}"}} {_prom_value(rate)}')
     return "\n".join(lines) + "\n"
 

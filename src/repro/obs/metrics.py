@@ -24,6 +24,10 @@ read-modify-write is serialised across processes by an advisory
 native build lock), so two pool workers folding simultaneously cannot
 drop each other's deltas.
 
+Windowed views (:mod:`repro.obs.live`) never touch the write path: they
+difference successive :func:`snapshot` calls, so a write costs the same
+with live telemetry attached as without.
+
 Naming convention: dotted lowercase paths, most-general first —
 ``engine.fallback``, ``sweep.cache.hit``, ``kernel.native.occupancy``,
 ``frame.slots.idle``, ``service.request.seconds``.
@@ -38,7 +42,6 @@ import threading
 from contextlib import contextmanager
 
 __all__ = [
-    "add_tap",
     "fold_into_file",
     "gauge",
     "get",
@@ -48,7 +51,6 @@ __all__ = [
     "merge_histogram",
     "observe",
     "quantile",
-    "remove_tap",
     "reset",
     "snapshot",
 ]
@@ -58,30 +60,6 @@ _counters: dict[str, float] = {}
 _gauges: dict[str, float] = {}
 _hists: dict[str, dict] = {}
 
-#: Live-metrics taps (:mod:`repro.obs.live`).  Copy-on-write list so the
-#: hot path reads it without locking; empty in every process that never
-#: starts a telemetry layer, keeping ``inc``/``observe`` at one dict op.
-_taps: list = []
-
-
-def add_tap(tap) -> None:
-    """Register a tap whose ``record_inc``/``record_observe`` mirror writes.
-
-    Taps run *outside* the registry lock (they keep their own), so a tap
-    must never call back into this module's write path.  Registration is
-    copy-on-write: in-flight readers keep the old list.
-    """
-    with _lock:
-        global _taps
-        if tap not in _taps:
-            _taps = [*_taps, tap]
-
-
-def remove_tap(tap) -> None:
-    """Unregister a tap added with :func:`add_tap` (missing taps ignored)."""
-    with _lock:
-        global _taps
-        _taps = [t for t in _taps if t is not tap]
 
 #: Log-bucket base: 2^(1/8) ≈ 1.0905 — 8 buckets per octave, ~±4.4 %
 #: worst-case relative quantile error (half a bucket width).
@@ -102,10 +80,6 @@ def inc(name: str, value: float = 1) -> None:
     """Add ``value`` (default 1) to counter ``name``."""
     with _lock:
         _counters[name] = _counters.get(name, 0) + value
-    taps = _taps
-    if taps:
-        for tap in taps:
-            tap.record_inc(name, value)
 
 
 def gauge(name: str, value: float) -> None:
@@ -136,10 +110,6 @@ def observe(name: str, value: float) -> None:
                 h["max"] = value
             buckets = h.setdefault("buckets", {})
             buckets[key] = buckets.get(key, 0) + 1
-    taps = _taps
-    if taps:
-        for tap in taps:
-            tap.record_observe(name, value)
 
 
 def get(name: str, default: float = 0) -> float:

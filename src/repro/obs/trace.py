@@ -38,6 +38,7 @@ by ``(pid, id)`` (ids are allocated at entry) to recover entry order.
 
 from __future__ import annotations
 
+import atexit
 import glob as _glob
 import json
 import os
@@ -499,6 +500,23 @@ def flush() -> None:
 
     t.write_metrics(metrics.snapshot())
     t.flush()
+
+
+@atexit.register
+def _flush_at_exit() -> None:
+    """Write a traced process's final metrics record at interpreter exit.
+
+    Sweep workers and the server flush explicitly; a plain single-process
+    run would otherwise leave no metrics record, and ``obs summary`` would
+    read its counters as zero.  Pool workers leave through ``os._exit`` and
+    never get here.
+    """
+    if _tracer is None:
+        return
+    try:
+        flush()
+    except OSError:
+        pass  # the trace's directory is already gone (a removed temp dir)
 
 
 def merge_worker_traces(path: str | os.PathLike | None = None) -> int:

@@ -171,9 +171,15 @@ class EstimationServer:
         self.started_wall = time.time()
 
     async def _telemetry_loop(self) -> None:
-        """Judge completed window slots against the SLO, once per tick."""
+        """Roll the telemetry windows and judge completed slots, per tick.
+
+        Ticks land just after slot boundaries, so the slot a write is
+        attributed to (decided when the roll takes its snapshot) is the
+        slot it happened in, up to event-loop latency.
+        """
+        tick = self._telemetry_tick
         while True:
-            await asyncio.sleep(self._telemetry_tick)
+            await asyncio.sleep(tick - time.monotonic() % tick)
             if self.telemetry is not None:
                 self.telemetry.evaluate()
 

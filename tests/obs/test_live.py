@@ -12,9 +12,7 @@ import pytest
 from repro.obs import metrics
 from repro.obs.live import (
     DEFAULT_WINDOWS,
-    LiveRegistry,
     LiveTelemetry,
-    RingWindow,
     SLOSpec,
     SLOTracker,
     WindowSpec,
@@ -47,74 +45,129 @@ def test_window_spec_validation():
     assert [spec.name for spec in DEFAULT_WINDOWS] == ["1s", "10s"]
 
 
+def _attached(clock, *specs, **kwargs):
+    """An attached telemetry front on ``clock`` (one 8×1 s ring by default)."""
+    telemetry = LiveTelemetry(
+        windows=specs or (WindowSpec("1s", 8, 1.0),), clock=clock, **kwargs
+    )
+    telemetry.attach()
+    return telemetry
+
+
+def _tick(clock, telemetry, slots: int = 1) -> list[dict]:
+    """Advance ``slots`` 1 s evaluator ticks, rolling the windows at each
+    (as the server's telemetry loop does); return the alerts raised."""
+    alerts = []
+    for _ in range(slots):
+        clock.advance(1.0)
+        alerts.extend(telemetry.evaluate())
+    return alerts
+
+
 # ----------------------------------------------------------------------
-# ring windows (driven with raw `now` floats)
+# ring windows (driven through the registry, a fake clock and rolls)
 # ----------------------------------------------------------------------
 def test_ring_window_counts_within_window_and_expires_at_boundary():
-    ring = RingWindow(WindowSpec("1s", slots=4, width_seconds=1.0))
-    ring.record_inc("req", 1, now=10.0)  # epoch 10
-    ring.record_inc("req", 2, now=11.0)  # epoch 11
+    clock = FakeClock(10.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=4, width_seconds=1.0))
+    ring = telemetry.windows["1s"]
+    metrics.inc("service.requests", 1)  # epoch 10
+    _tick(clock, telemetry)
+    metrics.inc("service.requests", 2)  # epoch 11
+    _tick(clock, telemetry, 2)
     # Window of 4 slots ending at epoch 13 spans epochs 10..13: both live.
-    assert ring.count("req", now=13.5) == 3
+    assert ring.count("service.requests") == 3
+    # Reads that include the open slot add its pending part.
+    metrics.inc("service.requests", 4)
+    assert telemetry.watch_snapshot()["global"]["requests"] == 7
     # At epoch 14 the window spans 11..14 — epoch 10 just fell out.
-    assert ring.count("req", now=14.0) == 2
-    # At epoch 15 both are out.
-    assert ring.count("req", now=15.0) == 0
+    _tick(clock, telemetry)
+    assert ring.count("service.requests") == 6
+    # At epoch 17 the window spans 14..17: everything is out...
+    _tick(clock, telemetry, 3)
+    assert ring.count("service.requests") == 0
     # ...but nothing recorded is ever lost.
-    assert ring.totals("req") == 3
+    assert telemetry.reconcile(["service.requests"])["service.requests"] == {
+        "lifetime_delta": 7,
+        "windowed": 7,
+        "exact": True,
+    }
 
 
 def test_ring_window_rate_excludes_partial_current_slot():
-    ring = RingWindow(WindowSpec("1s", slots=8, width_seconds=1.0))
-    assert ring.rate("req", now=10.0) == 0.0  # no data at all
-    ring.record_inc("req", 10, now=10.2)
-    ring.record_inc("req", 20, now=11.2)
-    ring.record_inc("req", 999, now=12.2)  # current slot: excluded
-    # Two completed slots (10, 11) since the first record → 15 req/s.
-    assert ring.rate("req", now=12.5) == pytest.approx(15.0)
+    clock = FakeClock(10.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=8, width_seconds=1.0))
+    assert telemetry.rate("req") == 0.0  # no data at all
+    metrics.inc("req", 10)
+    _tick(clock, telemetry)
+    metrics.inc("req", 20)
+    _tick(clock, telemetry)
+    metrics.inc("req", 999)  # open slot: excluded
+    clock.advance(0.5)
+    # Two completed slots (10, 11) since attach → 15 req/s.
+    assert telemetry.rate("req") == pytest.approx(15.0)
 
 
 def test_ring_window_rate_divisor_clamps_to_completed_ring():
-    ring = RingWindow(WindowSpec("1s", slots=4, width_seconds=1.0))
-    ring.record_inc("req", 6, now=10.0)
+    clock = FakeClock(10.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=4, width_seconds=1.0))
+    metrics.inc("req", 6)
     # 100 epochs later the ring covers at most slots-1 completed slots.
-    assert ring.rate("req", now=110.0) == 0.0  # data expired from the window
-    ring.record_inc("req", 6, now=110.0)
-    assert ring.rate("req", now=111.5) == pytest.approx(6 / 3)  # clamp: 3 slots
+    _tick(clock, telemetry, 100)
+    assert telemetry.rate("req") == 0.0  # data expired from the window
+    metrics.inc("req", 6)
+    _tick(clock, telemetry)
+    clock.advance(0.5)
+    assert telemetry.rate("req") == pytest.approx(6 / 3)  # clamp: 3 slots
 
 
 def test_ring_window_conservation_across_many_reclaims():
-    ring = RingWindow(WindowSpec("1s", slots=4, width_seconds=1.0))
+    clock = FakeClock(0.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=4, width_seconds=1.0))
     total = 0
     for epoch in range(50):  # > 12 full ring wraps
-        ring.record_inc("req", epoch, now=float(epoch))
-        ring.record_observe("lat", 0.01 * (epoch + 1), now=float(epoch))
+        metrics.inc("req", epoch)
+        metrics.observe("lat", 0.01 * (epoch + 1))
         total += epoch
-    assert ring.totals("req") == total
-    hist = ring.total_histogram("lat")
+        _tick(clock, telemetry)
+    assert telemetry.reconcile(["req"])["req"] == {
+        "lifetime_delta": total,
+        "windowed": total,
+        "exact": True,
+    }
+    ring = telemetry.windows["1s"]
+    hist = ring.histogram("lat", since_attach=True)
     assert hist["count"] == 50
     assert hist["sum"] == pytest.approx(sum(0.01 * (e + 1) for e in range(50)))
-    # Live window only holds the last 4 epochs' worth.
-    assert ring.count("req", now=49.0) == 46 + 47 + 48 + 49
+    # The window only holds the last 3 completed epochs (epoch 50 is open).
+    assert ring.count("req") == 47 + 48 + 49
+    assert ring.histogram("lat")["count"] == 3
 
 
 def test_ring_window_slot_stats_empty_after_reclaim():
-    ring = RingWindow(WindowSpec("1s", slots=2, width_seconds=1.0))
-    ring.record_inc("req", 1, now=5.0)
-    counters, _ = ring.slot_stats(5)
-    assert counters == {"req": 1}
-    ring.record_inc("req", 1, now=7.0)  # epoch 7 reuses slot 5's position
+    clock = FakeClock(5.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=2, width_seconds=1.0))
+    ring = telemetry.windows["1s"]
+    metrics.inc("req")
+    _tick(clock, telemetry)
+    assert ring.slot_stats(5) == ({"req": 1}, {})
+    metrics.inc("req")
+    _tick(clock, telemetry)  # epoch 7: slot 5 leaves the 2-slot window
     assert ring.slot_stats(5) == ({}, {})
+    assert ring.slot_stats(6) == ({"req": 1}, {})
 
 
 def test_ring_window_histogram_merges_disjoint_slot_buckets():
-    ring = RingWindow(WindowSpec("1s", slots=8, width_seconds=1.0))
+    clock = FakeClock(10.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=8, width_seconds=1.0))
     # Two slots whose samples land in disjoint log buckets.
     for _ in range(3):
-        ring.record_observe("lat", 0.001, now=10.0)
+        metrics.observe("lat", 0.001)
+    _tick(clock, telemetry)
     for _ in range(3):
-        ring.record_observe("lat", 10.0, now=11.0)
-    hist = ring.histogram("lat", now=11.5)
+        metrics.observe("lat", 10.0)
+    _tick(clock, telemetry)
+    hist = telemetry.windows["1s"].histogram("lat")
     assert hist["count"] == 6
     assert hist["min"] == 0.001 and hist["max"] == 10.0
     assert sum(hist["buckets"].values()) == 6
@@ -125,33 +178,109 @@ def test_ring_window_histogram_merges_disjoint_slot_buckets():
     assert metrics.quantile(hist, 1.0) == pytest.approx(10.0, rel=0.1)
 
 
-# ----------------------------------------------------------------------
-# live registry as a metrics tap
-# ----------------------------------------------------------------------
-def test_live_registry_mirrors_registry_via_tap():
+#: Half a log bucket: the worst-case error of a bucket-midpoint estimate,
+#: 2^(1/16) − 1 ≈ 4.43 %.
+_HALF_BUCKET = 0.0443
+
+
+def test_slot_extremes_follow_the_slot_not_the_lifetime_envelope():
     clock = FakeClock()
-    live = LiveRegistry(clock=clock)
-    metrics.add_tap(live)
+    z = zone_metric("dock", "innovation_z")
+    telemetry = _attached(clock, slo=SLOSpec(max_innovation_z=6.0))
+    ring = telemetry.windows["1s"]
+    telemetry.evaluate()  # pre-history mark
+
+    def slot(value):
+        metrics.inc(zone_metric("dock", "requests"))
+        metrics.observe(z, value)
+        return _tick(clock, telemetry)
+
+    assert slot(9.0) == []  # first bad slot: burn 1.0, inside the budget
+    for epoch in range(101, 104):
+        assert slot(1.0) == []
+        hist = ring.slot_stats(epoch)[1][z]
+        # Not the stale lifetime max of 9: the slot's own ≈ 1.
+        assert hist["max"] == pytest.approx(1.0, rel=_HALF_BUCKET)
+        assert hist["min"] == pytest.approx(1.0, rel=_HALF_BUCKET)
+    (alert,) = slot(9.0)  # second bad slot in the look-back: breach
+    assert alert["scope"] == "dock"
+    assert alert["objective"] == "max_innovation_z"
+    assert alert["observed"] == pytest.approx(9.0, rel=_HALF_BUCKET)
+    for _ in range(8):  # good slots roll the bad ones out of the look-back
+        assert slot(1.0) == []
+    assert telemetry.summary()["burn_rates"]["dock"] == 0.0
+
+
+def test_single_sample_slot_quantile_is_within_half_a_bucket():
+    clock = FakeClock()
+    telemetry = _attached(clock)
+    metrics.observe("lat", 0.001)  # widen the lifetime envelope first
+    metrics.observe("lat", 1.0)
+    _tick(clock, telemetry)
+    metrics.observe("lat", 0.05)
+    _tick(clock, telemetry)
+    hist = telemetry.windows["1s"].slot_stats(101)[1]["lat"]
+    assert hist["count"] == 1
+    assert metrics.quantile(hist, 0.99) == pytest.approx(0.05, rel=_HALF_BUCKET)
+
+
+def test_rolls_under_concurrent_writers_lose_and_double_count_nothing():
+    import sys
+    import threading
+
+    clock = FakeClock(0.0)
+    telemetry = _attached(clock, WindowSpec("1s", slots=4, width_seconds=1.0))
+    writers, per_writer = 4, 5000
+
+    def write():
+        for _ in range(per_writer):
+            metrics.inc("req")
+            metrics.observe("lat", 0.002)
+
+    threads = [threading.Thread(target=write) for _ in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        metrics.inc("service.requests")
-        metrics.inc("service.requests", 2)
-        metrics.observe("service.request.seconds", 0.25)
-        clock.advance(1.0)
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads):
+            _tick(clock, telemetry)  # rolls race the writers
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
     finally:
-        metrics.remove_tap(live)
-    metrics.inc("service.requests", 100)  # after removal: not mirrored
-    for window in ("1s", "10s"):
-        assert live.totals("service.requests", window) == 3
-    assert live.window_quantile("service.request.seconds", 0.5) == 0.25
+        sys.setswitchinterval(interval)
+    _tick(clock, telemetry)
+    total = writers * per_writer
+    assert telemetry.reconcile(["req"])["req"]["windowed"] == total
+    ring = telemetry.windows["1s"]
+    assert ring.count("req", since_attach=True) == total
+    assert ring.histogram("lat", since_attach=True)["count"] == total
+
+
+def test_windows_mirror_registry_until_detach():
+    clock = FakeClock()
+    telemetry = LiveTelemetry(clock=clock)  # default 1s and 10s rings
+    telemetry.attach()
+    metrics.inc("service.requests")
+    metrics.inc("service.requests", 2)
+    metrics.observe("service.request.seconds", 0.25)
+    clock.advance(1.0)
+    telemetry.detach()
+    metrics.inc("service.requests", 100)  # after detach: not mirrored
+    _tick(clock, telemetry, 10)
+    for ring in telemetry.windows.values():
+        assert ring.count("service.requests", since_attach=True) == 3
+    assert telemetry.watch_snapshot()["global"]["p50_ms"] == 250.0
     assert metrics.get("service.requests") == 103
 
 
-def test_live_registry_rejects_unknown_window_and_empty_spec():
-    live = LiveRegistry()
+def test_telemetry_rejects_unknown_window_and_empty_spec():
+    telemetry = LiveTelemetry()
     with pytest.raises(KeyError):
-        live.rate("x", "3s")
+        telemetry.rate("x", "3s")
     with pytest.raises(ValueError):
-        LiveRegistry(())
+        LiveTelemetry(windows=())
 
 
 # ----------------------------------------------------------------------
@@ -222,17 +351,9 @@ def test_zone_metric_names_round_trip_with_dotted_zones():
 # ----------------------------------------------------------------------
 # telemetry front: evaluate / reconcile / snapshots
 # ----------------------------------------------------------------------
-def _telemetry(clock, **kwargs):
-    telemetry = LiveTelemetry(
-        windows=(WindowSpec("1s", 8, 1.0),), clock=clock, **kwargs
-    )
-    telemetry.attach()
-    return telemetry
-
-
 def test_evaluate_fires_p99_breach_on_second_bad_window():
     clock = FakeClock()
-    telemetry = _telemetry(clock, slo=SLOSpec(p99_ms=50.0))
+    telemetry = _attached(clock, slo=SLOSpec(p99_ms=50.0))
     alerts = []
     try:
         telemetry.evaluate()  # first call only sets the pre-history mark
@@ -259,7 +380,7 @@ def test_evaluate_fires_p99_breach_on_second_bad_window():
 
 def test_evaluate_without_slo_is_inert():
     clock = FakeClock()
-    telemetry = _telemetry(clock)
+    telemetry = _attached(clock)
     try:
         metrics.inc("service.requests")
         clock.advance(5.0)
@@ -272,14 +393,16 @@ def test_evaluate_without_slo_is_inert():
 def test_reconcile_is_bit_exact_across_slot_churn():
     clock = FakeClock()
     metrics.inc("service.requests", 7)  # pre-attach traffic: baseline
-    telemetry = _telemetry(clock)
+    telemetry = _attached(clock)
     try:
         total = 0
         for step in range(40):  # 5 full wraps of the 8-slot ring
             metrics.inc("service.requests", step)
             metrics.inc(zone_metric("dock", "requests"))
             total += step
-            clock.advance(1.0)
+            _tick(clock, telemetry)
+        metrics.inc("service.requests", 5)  # still pending in the open slot
+        total += 5
         report = telemetry.reconcile(
             ["service.requests", zone_metric("dock", "requests"), "absent"]
         )
@@ -296,19 +419,23 @@ def test_reconcile_is_bit_exact_across_slot_churn():
 
 def test_attach_is_idempotent_and_detach_stops_mirroring():
     clock = FakeClock()
-    telemetry = _telemetry(clock)
-    telemetry.attach()  # second attach must not double-register the tap
-    try:
-        metrics.inc("service.requests")
-    finally:
-        telemetry.detach()
+    telemetry = _attached(clock)
     metrics.inc("service.requests")
-    assert telemetry.registry.totals("service.requests") == 1
+    telemetry.attach()  # second attach must not restart the windows
+    metrics.inc("service.requests")
+    telemetry.detach()
+    metrics.inc("service.requests")
+    _tick(clock, telemetry)
+    assert telemetry.reconcile(["service.requests"])["service.requests"] == {
+        "lifetime_delta": 2,
+        "windowed": 2,
+        "exact": True,
+    }
 
 
 def test_watch_snapshot_shape_and_zone_rows():
     clock = FakeClock()
-    telemetry = _telemetry(clock, slo=SLOSpec(p99_ms=250.0))
+    telemetry = _attached(clock, slo=SLOSpec(p99_ms=250.0))
     try:
         metrics.inc("service.requests", 8)
         metrics.inc("service.cache.memory_hit", 6)
@@ -358,7 +485,7 @@ def test_render_prometheus_counters_zones_and_summaries():
 
 def test_render_prometheus_appends_live_rates_and_handles_none():
     clock = FakeClock()
-    telemetry = _telemetry(clock)
+    telemetry = _attached(clock)
     try:
         metrics.inc("service.requests", 4)
         clock.advance(1.0)

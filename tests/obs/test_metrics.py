@@ -183,65 +183,6 @@ def test_fold_into_file_concurrent_writers_lose_nothing(tmp_path):
     assert hist["sum"] == pytest.approx(0.25 * workers * folds)
 
 
-# ----------------------------------------------------------------------
-# live-metrics taps
-# ----------------------------------------------------------------------
-class _RecordingTap:
-    def __init__(self):
-        self.incs: list[tuple] = []
-        self.observes: list[tuple] = []
-
-    def record_inc(self, name, value):
-        self.incs.append((name, value))
-
-    def record_observe(self, name, value):
-        self.observes.append((name, value))
-
-
-def test_tap_mirrors_writes_until_removed():
-    tap = _RecordingTap()
-    metrics.add_tap(tap)
-    try:
-        metrics.inc("req")
-        metrics.inc("req", 3)
-        metrics.observe("lat", 0.25)
-    finally:
-        metrics.remove_tap(tap)
-    metrics.inc("req")  # after removal: not delivered
-    assert tap.incs == [("req", 1), ("req", 3)]
-    assert tap.observes == [("lat", 0.25)]
-    assert metrics.get("req") == 5  # the registry itself saw everything
-
-
-def test_tap_registration_is_idempotent_and_removal_by_identity():
-    tap, other = _RecordingTap(), _RecordingTap()
-    metrics.add_tap(tap)
-    metrics.add_tap(tap)  # duplicate add must not double-deliver
-    metrics.add_tap(other)
-    try:
-        metrics.remove_tap(_RecordingTap())  # absent tap: ignored
-        metrics.inc("req")
-    finally:
-        metrics.remove_tap(tap)
-        metrics.remove_tap(other)
-    assert tap.incs == [("req", 1)]
-    assert other.incs == [("req", 1)]
-
-
-def test_reset_clears_registry_but_keeps_taps_attached():
-    tap = _RecordingTap()
-    metrics.add_tap(tap)
-    try:
-        metrics.inc("req")
-        metrics.reset()
-        assert metrics.get("req") == 0
-        metrics.inc("req", 7)
-    finally:
-        metrics.remove_tap(tap)
-    # The tap's own state is its own business — reset does not detach it.
-    assert tap.incs == [("req", 1), ("req", 7)]
-
-
 def test_merge_histogram_disjoint_buckets_quantiles_stay_bounded():
     for _ in range(5):
         metrics.observe("low", 0.001)

@@ -286,3 +286,40 @@ def test_report_scales_sampled_trials(tmp_path):
     }
     text = obs_report.render_summary(summary)
     assert "sampled 1/4: 2 recorded" in text
+
+
+_TRACED_CHILD = """
+from repro.experiments.batch import run_bfce_trials_batched
+from repro.obs import metrics
+from repro.rfid.ids import uniform_ids
+from repro.rfid.tags import TagPopulation
+
+run_bfce_trials_batched(TagPopulation(uniform_ids(20_000, seed=3)), trials=4)
+print(int(metrics.get("kernel.native.calls")))
+"""
+
+
+def test_single_process_run_flushes_metrics_at_exit(tmp_path):
+    """A traced run that never calls ``flush()`` still leaves its final
+    metrics record, so ``obs summary`` counts its kernel calls."""
+    import subprocess
+    import sys
+
+    from repro.obs.report import metrics_totals
+
+    path = tmp_path / "run.jsonl"
+    env = {k: v for k, v in os.environ.items() if k != TRACE_ROOT_ENV}
+    env[TRACE_ENV] = str(path)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    child = subprocess.run(
+        [sys.executable, "-c", _TRACED_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    calls = int(child.stdout.split()[-1])
+    totals = metrics_totals(load_trace(path))
+    assert totals.get("kernel.native.calls", 0) == calls
