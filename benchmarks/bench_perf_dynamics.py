@@ -31,7 +31,6 @@ Knobs (environment variables, overridden by ``--smoke``):
 * ``REPRO_BENCH_EPOCHS``        comparison-trace epochs      (default 400)
 * ``REPRO_BENCH_N``             scale-workload cardinality   (default 1000000)
 * ``REPRO_BENCH_SCALE_EPOCHS``  scale-workload epochs        (default 10000)
-* ``REPRO_BENCH_WORKERS``       sweep worker processes       (default min(4, cpus))
 * ``REPRO_BENCH_CACHE``         cache directory              (default <repo>/.repro_cache/bench-dynamics)
 * ``REPRO_BENCH_OUT``           output path                  (default <repo>/BENCH_dynamics.json)
 
@@ -239,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     epochs = 120 if smoke else int(os.environ.get("REPRO_BENCH_EPOCHS", 400))
     scale_n = int(os.environ.get("REPRO_BENCH_N", 1_000_000))
     scale_epochs = int(os.environ.get("REPRO_BENCH_SCALE_EPOCHS", 10_000))
-    workers = 2 if smoke else int(os.environ.get("REPRO_BENCH_WORKERS", 0)) or None
+    workers = 2 if smoke else None
     cache_dir = Path(
         os.environ.get(
             "REPRO_BENCH_CACHE", _REPO_ROOT / ".repro_cache" / "bench-dynamics"

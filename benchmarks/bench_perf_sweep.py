@@ -34,7 +34,6 @@ Knobs (environment variables, overridden by ``--smoke``):
 
 * ``REPRO_BENCH_N``        largest grid cardinality      (default 100000)
 * ``REPRO_BENCH_TRIALS``   trials per BFCE point         (default 10)
-* ``REPRO_BENCH_WORKERS``  sweep worker processes        (default min(4, cpus))
 * ``REPRO_BENCH_CACHE``    cache directory               (default <repo>/.repro_cache/bench)
 * ``REPRO_BENCH_OUT``      output path                   (default <repo>/BENCH_sweep.json)
 
@@ -293,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     smoke = "--smoke" in argv
     n_max = 10_000 if smoke else int(os.environ.get("REPRO_BENCH_N", 100_000))
     trials = 4 if smoke else int(os.environ.get("REPRO_BENCH_TRIALS", 10))
-    workers = 2 if smoke else int(os.environ.get("REPRO_BENCH_WORKERS", 0)) or None
+    workers = 2 if smoke else None
     cache_dir = Path(
         os.environ.get("REPRO_BENCH_CACHE", _REPO_ROOT / ".repro_cache" / "bench")
     )

@@ -22,14 +22,14 @@ approximation.  It holds because each trial keeps
 while the batched frame kernel itself reproduces the serial kernel
 slot-for-slot.
 
-Serial/batched/parallel decision matrix (see DESIGN.md §6):
+Serial/batched decision matrix (see DESIGN.md §6):
 
 * deterministic channel (the paper's perfect channel) → **batched** engine;
 * stateful/noisy channel or a custom estimator factory → **serial** per-trial
   path (the engine falls back automatically);
-* multi-core sweeps → :func:`~repro.experiments.parallel.run_bfce_trials_parallel`,
-  which fans *chunks* of trials over processes and runs this batched engine
-  inside each worker.
+* multi-core hosts → this batched engine on threaded native kernels; sweeps
+  over many points fan out across processes through
+  :func:`~repro.experiments.sweep.run_sweep` (``max_workers=…``).
 """
 
 from __future__ import annotations

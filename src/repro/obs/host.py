@@ -19,11 +19,8 @@ __all__ = ["affinity_cpu_count", "host_block"]
 
 
 def affinity_cpu_count() -> int:
-    """Cores the current process may run on (falls back to the machine count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+    """Cores the current process may run on (its affinity mask)."""
+    return len(os.sched_getaffinity(0))
 
 
 def host_block() -> dict:

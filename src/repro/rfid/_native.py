@@ -25,26 +25,26 @@ the axis into contiguous per-thread blocks cannot change any output bit:
 threaded results are **bit-identical** to the single-threaded path at any
 thread count.  The thread count comes from :func:`native_thread_count`
 (``REPRO_NATIVE_THREADS`` env, affinity-aware default) and is re-read on
-every call, so benchmarks can flip it without rebuilding; tiny calls stay
-single-threaded (see ``_MT_MIN_EVENTS``).  When pthreads are unavailable
-(or ``REPRO_NATIVE_PTHREADS=0``) the build falls back to a serial variant
-of the same source — same results, one core.
+every call, so benchmarks can flip it without rebuilding; tiny calls and
+one-thread requests run inline on the calling thread (see
+``_MT_MIN_EVENTS``).
 
-Build model: the C source below is compiled on first use with the system C
-compiler into ``build/`` at the repo root (cached by content hash, so the
-cost is one ``cc`` invocation per source revision, not per process; set
-``REPRO_NATIVE_BUILD_DIR`` to relocate).  Concurrent first users — e.g.
-process-pool workers racing on a cold build directory — serialise on an
-exclusive file lock and publish the shared object by atomic rename, so
-exactly one compile runs and no process ever loads a half-written library.
-When no compiler is available, the build fails, or ``REPRO_NATIVE=0`` is
-set, callers transparently keep the pure-NumPy path — same results, just
-slower.
+Build model: the C source below is compiled once, always with ``-pthread``,
+on first use with the system C compiler into ``build/`` at the repo root
+(cached by content hash, so the cost is one ``cc`` invocation per source
+revision, not per process; set ``REPRO_NATIVE_BUILD_DIR`` to relocate).
+Concurrent first users — e.g. sweep pool workers racing on a cold build
+directory — serialise on an exclusive file lock and publish the shared
+object by atomic rename, so exactly one compile runs and no process ever
+loads a half-written library.  When no compiler is available, the build
+fails, or ``REPRO_NATIVE=0`` is set, callers transparently keep the
+pure-NumPy path — same results, just slower.
 """
 
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import hashlib
 import os
 import subprocess
@@ -55,12 +55,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..obs.host import affinity_cpu_count
+
 __all__ = [
     "get_lib",
     "native_enabled",
     "native_thread_count",
     "effective_threads",
-    "threads_supported",
     "occupancy_native",
     "aloha_empty_native",
     "bfce_counts_native",
@@ -74,9 +75,7 @@ _SOURCE = r"""
 #include <stddef.h>
 #include <string.h>
 
-#ifdef REPRO_MT
 #include <pthread.h>
-#endif
 
 /* ------------------------------------------------------------------ */
 /* Trial-block threading runtime.                                     */
@@ -94,15 +93,6 @@ _SOURCE = r"""
 
 typedef void (*block_fn)(void *ctx, size_t lo, size_t hi, int tid);
 
-int threads_compiled(void) {
-#ifdef REPRO_MT
-    return 1;
-#else
-    return 0;
-#endif
-}
-
-#ifdef REPRO_MT
 typedef struct { block_fn fn; void *ctx; size_t lo, hi; int tid; } block_job;
 
 static void *run_block_job(void *arg) {
@@ -110,46 +100,41 @@ static void *run_block_job(void *arg) {
     job->fn(job->ctx, job->lo, job->hi, job->tid);
     return NULL;
 }
-#endif
 
 static void run_blocks(block_fn fn, void *ctx, size_t items, int n_threads) {
     if (items == 0)
         return;
-#ifdef REPRO_MT
     size_t nt = n_threads < 1 ? 1 : (size_t)n_threads;
     if (nt > items)
         nt = items;
     if (nt > REPRO_MAX_THREADS)
         nt = REPRO_MAX_THREADS;
-    if (nt > 1) {
-        block_job jobs[REPRO_MAX_THREADS];
-        pthread_t handles[REPRO_MAX_THREADS];
-        size_t base = items / nt, rem = items % nt, lo = 0;
-        for (size_t t = 0; t < nt; t++) {
-            size_t len = base + (t < rem ? 1 : 0);
-            jobs[t].fn = fn; jobs[t].ctx = ctx;
-            jobs[t].lo = lo; jobs[t].hi = lo + len; jobs[t].tid = (int)t;
-            lo += len;
-        }
-        size_t started = nt;
-        for (size_t t = 1; t < nt; t++) {
-            if (pthread_create(&handles[t], NULL, run_block_job, &jobs[t]) != 0) {
-                /* Spawn failed: run this and all later blocks inline. */
-                for (size_t u = t; u < nt; u++)
-                    jobs[u].fn(jobs[u].ctx, jobs[u].lo, jobs[u].hi, jobs[u].tid);
-                started = t;
-                break;
-            }
-        }
-        jobs[0].fn(jobs[0].ctx, jobs[0].lo, jobs[0].hi, 0);
-        for (size_t t = 1; t < started; t++)
-            pthread_join(handles[t], NULL);
+    if (nt == 1) {
+        fn(ctx, 0, items, 0);
         return;
     }
-#else
-    (void)n_threads;
-#endif
-    fn(ctx, 0, items, 0);
+    block_job jobs[REPRO_MAX_THREADS];
+    pthread_t handles[REPRO_MAX_THREADS];
+    size_t base = items / nt, rem = items % nt, lo = 0;
+    for (size_t t = 0; t < nt; t++) {
+        size_t len = base + (t < rem ? 1 : 0);
+        jobs[t].fn = fn; jobs[t].ctx = ctx;
+        jobs[t].lo = lo; jobs[t].hi = lo + len; jobs[t].tid = (int)t;
+        lo += len;
+    }
+    size_t started = nt;
+    for (size_t t = 1; t < nt; t++) {
+        if (pthread_create(&handles[t], NULL, run_block_job, &jobs[t]) != 0) {
+            /* Spawn failed: run this and all later blocks inline. */
+            for (size_t u = t; u < nt; u++)
+                jobs[u].fn(jobs[u].ctx, jobs[u].lo, jobs[u].hi, jobs[u].tid);
+            started = t;
+            break;
+        }
+    }
+    jobs[0].fn(jobs[0].ctx, jobs[0].lo, jobs[0].hi, 0);
+    for (size_t t = 1; t < started; t++)
+        pthread_join(handles[t], NULL);
 }
 
 /* SplitMix64 mixer — must match repro.rfid.hashing.mix64 exactly
@@ -391,9 +376,6 @@ void analytic_scatter_balls(uint64_t seed, int64_t balls, uint64_t n_slots,
     run_blocks(balls_block, &c, (size_t)balls, nt);
     if (balls == 0)
         memset(row, 0, n_slots * sizeof(int32_t));
-#ifndef REPRO_MT
-    nt = 1;   /* serial build: everything landed in row, nothing to merge */
-#endif
     if (nt > (int)balls)
         nt = balls > 0 ? (int)balls : 1;
     if (nt > REPRO_MAX_THREADS)
@@ -465,9 +447,6 @@ void hll_update_batch(const uint64_t *ids, size_t n, uint64_t seed_mix,
     const size_t m = (size_t)1 << p;
     if (n == 0)
         memset(registers, 0, m);
-#ifndef REPRO_MT
-    nt = 1;   /* serial build: everything landed in registers */
-#endif
     if (nt > (int)n)
         nt = n > 0 ? (int)n : 1;
     if (nt > REPRO_MAX_THREADS)
@@ -527,13 +506,6 @@ def native_enabled() -> bool:
     return os.environ.get("REPRO_NATIVE", "1") != "0"
 
 
-def _pthreads_wanted() -> bool:
-    """Build the pthread variant (default) — ``REPRO_NATIVE_PTHREADS=0``
-    forces the serial-fallback build (used by tests and as a manual escape
-    hatch on toolchains whose ``-pthread`` is broken)."""
-    return os.environ.get("REPRO_NATIVE_PTHREADS", "1") != "0"
-
-
 def native_thread_count() -> int:
     """Kernel threads per native call, from ``REPRO_NATIVE_THREADS``.
 
@@ -543,10 +515,10 @@ def native_thread_count() -> int:
     * a positive integer requests exactly that many threads, clamped to the
       over-subscription cap (``64``);
     * unset, empty, ``0``, negative, or unparsable values mean *auto*: the
-      affinity-visible core count (``len(os.sched_getaffinity(0))`` where
-      available, else ``os.cpu_count()``), clamped the same way — on a
-      pinned CI runner or cgroup-limited container this sees the cores the
-      process may actually use, not the machine total.
+      affinity-visible core count (:func:`~repro.obs.host.affinity_cpu_count`),
+      clamped the same way — on a pinned CI runner or cgroup-limited
+      container this sees the cores the process may actually use, not the
+      machine total.
     """
     raw = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
     if raw:
@@ -556,11 +528,7 @@ def native_thread_count() -> int:
             requested = 0  # garbage falls back to auto
         if requested >= 1:
             return min(requested, _THREAD_CAP)
-    try:
-        auto = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        auto = os.cpu_count() or 1
-    return max(1, min(auto, _THREAD_CAP))
+    return max(1, min(affinity_cpu_count(), _THREAD_CAP))
 
 
 def divide_thread_budget(workers: int) -> None:
@@ -577,31 +545,19 @@ def divide_thread_budget(workers: int) -> None:
     """
     if os.environ.get("REPRO_NATIVE_THREADS", "").strip():
         return
-    try:
-        auto = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        auto = os.cpu_count() or 1
-    os.environ["REPRO_NATIVE_THREADS"] = str(max(1, auto // max(1, workers)))
-
-
-def threads_supported() -> bool:
-    """Whether the loaded kernel library was built with pthread support."""
-    lib = get_lib()
-    return bool(lib is not None and lib.threads_compiled())
+    budget = affinity_cpu_count() // max(1, workers)
+    os.environ["REPRO_NATIVE_THREADS"] = str(max(1, budget))
 
 
 def effective_threads() -> int:
     """Threads a large native call would actually use right now.
 
-    1 when the native library is absent or was built without pthreads;
-    otherwise :func:`native_thread_count`.  Callers sizing work chunks for
-    the threaded kernels (e.g. the batched frame engine's streaming budget)
-    use this rather than the raw env parse.
+    1 when the native library is absent, otherwise
+    :func:`native_thread_count`.  Callers sizing work chunks for the
+    threaded kernels (e.g. the batched frame engine's streaming budget) use
+    this rather than the raw env parse.
     """
-    lib = get_lib()
-    if lib is None or not lib.threads_compiled():
-        return 1
-    return native_thread_count()
+    return 1 if get_lib() is None else native_thread_count()
 
 
 def _threads_for(items: int, events: int) -> int:
@@ -636,15 +592,10 @@ def _build_lock(build_dir: Path):
 
     Concurrent process-pool workers racing a cold build directory must not
     compile on top of each other: the winner compiles while the rest block,
-    then find the finished ``.so``.  Falls back to unlocked operation where
-    ``fcntl`` is unavailable — the atomic-rename publish still prevents a
-    torn library, the lock only avoids duplicate compiles.
+    then find the finished ``.so``.  An unopenable lock file degrades to
+    unlocked operation — the atomic-rename publish still prevents a torn
+    library, the lock only avoids duplicate compiles.
     """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX
-        yield
-        return
     lock_path = build_dir / ".build.lock"
     try:
         fh = open(lock_path, "a+")
@@ -658,11 +609,9 @@ def _build_lock(build_dir: Path):
         fh.close()  # releases the lock
 
 
-def _compile_variant(
-    build_dir: Path, tag: str, variant: str, extra_cc: list[str]
-) -> Path | None:
-    """Compile one build variant under the lock; returns the .so path."""
-    so_path = build_dir / f"_native_kernels_{tag}_{variant}.so"
+def _compile_so(build_dir: Path, tag: str) -> Path | None:
+    """Compile the kernel source under the lock; returns the .so path."""
+    so_path = build_dir / f"_native_kernels_{tag}.so"
     if so_path.exists():
         return so_path
     src_path = build_dir / f"_native_kernels_{tag}.c"
@@ -674,7 +623,10 @@ def _compile_variant(
     tmp_so = build_dir / f".{so_path.name}.{os.getpid()}.tmp"
     try:
         subprocess.run(
-            [cc, "-O3", "-shared", "-fPIC", *extra_cc, str(src_path), "-o", str(tmp_so)],
+            [
+                cc, "-O3", "-shared", "-fPIC", "-pthread",
+                str(src_path), "-o", str(tmp_so),
+            ],
             check=True,
             capture_output=True,
             timeout=120,
@@ -687,36 +639,21 @@ def _compile_variant(
 
 
 def _compile() -> ctypes.CDLL | None:
-    """Compile the kernel source (cached by content hash) and load it.
-
-    Tries the pthread build first, then a serial fallback of the same
-    source (``REPRO_MT`` undefined) on hosts whose toolchain lacks
-    ``-pthread`` — the kernels then run their single-threaded path with
-    identical outputs.
-    """
+    """Compile the kernel source (cached by content hash) and load it."""
     tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
     build_dir = _build_dir()
     try:
         build_dir.mkdir(parents=True, exist_ok=True)
     except OSError:
         build_dir = Path(tempfile.mkdtemp(prefix="repro_native_"))
-    variants = [("mt", ["-pthread", "-DREPRO_MT"]), ("st", [])]
-    if not _pthreads_wanted():
-        variants = [("st", [])]
-    so_path = None
     with _build_lock(build_dir):
-        for variant, extra_cc in variants:
-            so_path = _compile_variant(build_dir, tag, variant, extra_cc)
-            if so_path is not None:
-                break
+        so_path = _compile_so(build_dir, tag)
     if so_path is None:
         return None
     try:
         lib = ctypes.CDLL(str(so_path))
     except OSError:
         return None
-    lib.threads_compiled.argtypes = []
-    lib.threads_compiled.restype = ctypes.c_int
     lib.occupancy_batch.argtypes = [
         _U64P, ctypes.c_size_t, _U64P, ctypes.c_size_t,
         ctypes.c_uint64, ctypes.c_uint64, _U64P, ctypes.c_int,
@@ -763,10 +700,6 @@ def get_lib() -> ctypes.CDLL | None:
         from ..obs import metrics as _metrics
 
         _metrics.inc("kernel.native.build.ok" if _lib else "kernel.native.build.failed")
-        if _lib is not None:
-            _metrics.gauge(
-                "native.threads_supported", float(bool(_lib.threads_compiled()))
-            )
     return _lib
 
 

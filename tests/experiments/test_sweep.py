@@ -26,6 +26,7 @@ from repro.experiments.sweep import (
     cache_enabled,
     cached_call,
     engine_version_token,
+    records_from_payload,
     run_record_sweep,
     run_sweep,
 )
@@ -304,11 +305,23 @@ class TestScheduler:
                 c=0.5, distribution="T1", n=N, pop_seed=0, trials=2, base_seed=0
             ),
             _point(base_seed=5),  # duplicate of points[0]
+            # Regression: a worker that rebuilt this population without its
+            # rn_seed re-rolled every tag's RN from the default stream.
+            _point(
+                base_seed=17, trials=4, eps=0.1, delta=0.2,
+                rn_source="random", rn_seed=1234,
+            ),
         ]
         serial = run_sweep(points, max_workers=1, cache=TrialCache(tmp_path / "a"))
         parallel = run_sweep(points, max_workers=2, cache=TrialCache(tmp_path / "b"))
         assert serial == parallel
         assert serial[3] == serial[0]
+        pop = population("T1", N, seed=0, rn_source="random", rn_seed=1234)
+        direct = run_bfce_trials(
+            pop, trials=4, eps=0.1, delta=0.2, base_seed=17, distribution="T1",
+            engine="serial",
+        )
+        assert _sans_engine(records_from_payload(parallel[4])) == _sans_engine(direct)
 
     def test_duplicate_points_execute_once(self, tmp_path):
         cache = TrialCache(tmp_path)
