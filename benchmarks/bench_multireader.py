@@ -10,7 +10,10 @@ Two surfaces share this file:
   strategies head to head — one giant synchronized BFCE round over the
   union versus per-reader HLL sketches unioned at the coordinator — across
   reader counts (2…256) and population sizes, and writes
-  ``BENCH_multireader.json`` at the repo root for ``collect.py``.
+  ``BENCH_multireader.json`` at the repo root for ``collect.py``.  It
+  checks that the sketch path is at least as fast as the synchronized
+  round at the largest n (``multireader_sketch_speedup_min``) and that
+  every relative error stays inside ``multireader_error_max``.
 
 Run the harness as a script or module::
 
@@ -34,21 +37,16 @@ crossover is immediate and widens with n.
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 import time
-from pathlib import Path
 
+import _harness  # first: puts src/ on sys.path
 import numpy as np
+from _harness import Check
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-
-from repro.rfid.ids import uniform_ids  # noqa: E402
-from repro.rfid.multireader import (  # noqa: E402
+from repro.obs.host import host_block
+from repro.rfid.ids import uniform_ids
+from repro.rfid.multireader import (
     CoverageMap,
     MultiReaderSystem,
     naive_sum_estimate,
@@ -130,8 +128,6 @@ def run_multireader_bench(
     overlap: float = OVERLAP,
 ) -> dict:
     """Sweep reader counts and populations; return the comparison report."""
-    from repro.obs.host import host_block
-
     readers: dict[str, dict] = {}
     ids = uniform_ids(n, seed=BASE_SEED)
     for r in reader_counts:
@@ -182,19 +178,13 @@ def run_multireader_bench(
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a != "--smoke"]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_multireader.py [--smoke]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
+    smoke = _harness.parse_smoke(argv)
     if smoke:
         n = 50_000
         reader_counts = (2, 16)
         scale_n_values = (50_000,)
     else:
-        n = int(os.environ.get("REPRO_BENCH_N", 1_000_000))
+        n = _harness.env_int("REPRO_BENCH_N", 1_000_000)
         reader_counts = READER_SWEEP
         scale_n_values = tuple(
             int(v)
@@ -202,13 +192,10 @@ def main(argv: list[str] | None = None) -> int:
                 "REPRO_BENCH_N_VALUES", "1000000,10000000"
             ).split(",")
         )
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_multireader.json"))
 
     report = run_multireader_bench(
         n=n, reader_counts=reader_counts, scale_n_values=scale_n_values
     )
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
     for r, row in report["readers"].items():
         sk, sy = row["sketch"], row["sync_bfce"]
         print(
@@ -229,29 +216,32 @@ def main(argv: list[str] | None = None) -> int:
     gates = report["gates"]
     print(
         f"sketch compute ratio {reader_counts[0]}->{reader_counts[-1]} readers: "
-        f"{gates['sketch_compute_ratio_max_readers']:.2f}x; "
-        f"speedup at n={scale_n_values[-1]:,}: "
-        f"{gates['sketch_speedup_at_max_n']:.1f}x"
+        f"{gates['sketch_compute_ratio_max_readers']:.2f}x"
     )
-    print(f"wrote {out}")
 
-    failed = False
-    if gates["sketch_speedup_at_max_n"] < 1.0:
-        print(
-            "FAIL: the sketch path is slower than the synchronized round at "
-            f"n={scale_n_values[-1]:,} — the mergeable layer lost its reason to exist"
-        )
-        failed = True
     errors = [
         row[kind]["relative_error"]
         for rows in (report["readers"], report["scale"])
         for row in rows.values()
         for kind in ("sketch", "sync_bfce")
     ]
-    if max(errors) > 0.08:
-        print(f"FAIL: relative error {max(errors):.4f} exceeds 0.08")
-        failed = True
-    return 1 if failed else 0
+    checks = [
+        Check(
+            "multireader.sketch_speedup_at_max_n",
+            gates["sketch_speedup_at_max_n"],
+            ">=",
+            floor="multireader_sketch_speedup_min",
+        ),
+        Check(
+            "multireader.error_max",
+            max(errors),
+            "<=",
+            floor="multireader_error_max",
+        ),
+    ]
+    return _harness.finish(
+        report, checks, _harness.out_path("BENCH_multireader.json"), smoke
+    )
 
 
 if __name__ == "__main__":

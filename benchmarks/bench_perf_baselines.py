@@ -6,9 +6,9 @@ harness times the serial per-trial path against the lockstep batch engine
 on an identical workload, by default n = 10⁵ tags and T = 50 Monte-Carlo
 trials.  It writes ``BENCH_baselines.json`` at the repo root with
 trials/sec per (baseline, engine), the per-baseline and aggregate speedups,
-and two drift gates versus the serial reference, both of which must be
-exactly 0.0: the batch engine claims bit-equivalence of the *estimate* and
-of the *metered protocol seconds*, not statistical agreement.
+and one drift check versus the serial reference, which must be exactly 0.0:
+the batch engine claims bit-equivalence of the *estimate* and of the
+*metered protocol seconds*, not statistical agreement.
 
 Run as a script or module::
 
@@ -16,7 +16,7 @@ Run as a script or module::
     PYTHONPATH=src python benchmarks/bench_perf_baselines.py --smoke
 
 ``--smoke`` shrinks the workload (n = 5000, T = 6, best-of-1) so CI can
-exercise the full harness — including the drift gates — in a few seconds.
+exercise the full harness — including the drift check — in a few seconds.
 
 Knobs (environment variables, overridden by ``--smoke``):
 
@@ -31,36 +31,17 @@ dict without touching the filesystem.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
-from pathlib import Path
+import _harness  # first: puts src/ on sys.path
+from _harness import Check
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-
-from repro.baselines import LOF, SRC, ZOE  # noqa: E402
-from repro.core.accuracy import AccuracyRequirement  # noqa: E402
-from repro.experiments.runner import run_trials  # noqa: E402
-from repro.rfid.ids import uniform_ids  # noqa: E402
-from repro.rfid.tags import TagPopulation  # noqa: E402
-from repro.obs.host import host_block  # noqa: E402
+from repro.baselines import LOF, SRC, ZOE
+from repro.core.accuracy import AccuracyRequirement
+from repro.experiments.runner import run_trials
+from repro.obs.host import host_block
+from repro.rfid.ids import uniform_ids
+from repro.rfid.tags import TagPopulation
 
 BASE_SEED = 2015  # ICPP'15 — fixed so both engines replay the same seeds
-
-
-def _time_best_of(fn, repeats: int):
-    """Best-of-N wall time; returns (seconds, last_records)."""
-    best = float("inf")
-    records = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        records = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, records
 
 
 def run_baseline_bench(
@@ -89,7 +70,7 @@ def run_baseline_bench(
                 engine=engine,
             )
             fn()  # warm-up: page in buffers outside the clock
-            seconds, records = _time_best_of(fn, repeats)
+            seconds, records = _harness.time_best_of(fn, repeats)
             if reference is None:
                 reference = records
             per_engine[engine] = {
@@ -133,21 +114,12 @@ def run_baseline_bench(
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a != "--smoke"]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_perf_baselines.py [--smoke]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
-    n = 5_000 if smoke else int(os.environ.get("REPRO_BENCH_N", 100_000))
-    trials = 6 if smoke else int(os.environ.get("REPRO_BENCH_TRIALS", 50))
-    repeats = 1 if smoke else int(os.environ.get("REPRO_BENCH_REPEATS", 3))
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_baselines.json"))
+    smoke = _harness.parse_smoke(argv)
+    n = 5_000 if smoke else _harness.env_int("REPRO_BENCH_N", 100_000)
+    trials = 6 if smoke else _harness.env_int("REPRO_BENCH_TRIALS", 50)
+    repeats = 1 if smoke else _harness.env_int("REPRO_BENCH_REPEATS", 3)
 
     report = run_baseline_bench(n=n, trials=trials, repeats=repeats)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
     for name, stats in report["baselines"].items():
         print(
             f"{name:>4}: serial {stats['serial']['seconds']:7.3f}s  "
@@ -161,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         f" agg: serial {agg['serial_seconds']:7.3f}s  "
         f"batched {agg['batched_seconds']:7.3f}s  {agg['speedup']:5.2f}x"
     )
-    print(f"wrote {out}")
 
     drift = max(
         max(
@@ -170,10 +141,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         for stats in report["baselines"].values()
     )
-    if drift != 0.0:
-        print(f"FAIL: batched engine drifted from serial (max drift = {drift})")
-        return 1
-    return 0
+    checks = [Check("baselines.drift", drift, "==", expect=0.0)]
+    return _harness.finish(
+        report, checks, _harness.out_path("BENCH_baselines.json"), smoke
+    )
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Perf harness for the dynamic-population tracking layer.
 
-Gates the tracking layer's two hard contracts from the design doc:
+Checks the tracking layer's two hard contracts from the design doc:
 
 1. **Accuracy per airtime** — over the benchmark churn trace, the EKF
    tracker must beat repeated independent single-round BFCE estimates on
@@ -9,13 +9,14 @@ Gates the tracking layer's two hard contracts from the design doc:
    epochs) are measured alongside for the trend record but not gated.
 2. **Cache round-trip** — a grid of ``dynamics_series`` sweep points
    (modes × trace seeds) runs cold then warm against the content-addressed
-   cache: the warm pass must hit on ≥ 90 % of points and every warm
-   payload must be **bit-identical** to its cold counterpart.
+   cache: the warm pass must hit (``dynamics_warm_hit_rate_min``) and every
+   warm payload must be **bit-identical** to its cold counterpart.
 
-In full mode the harness additionally times the scale workload from the
+At full scale the harness additionally times the scale workload from the
 acceptance criteria — a 10⁴-epoch EKF series over a 10⁶-tag trace on the
-analytic engine — and gates its wall time under 60 s.  Results go to
-``BENCH_dynamics.json``; exit 1 on any gate violation.
+analytic engine — and checks its wall time against
+``dynamics_scale_wall_seconds_max``.  Results and every check's verdict go
+to ``BENCH_dynamics.json``; exit 1 on any failed check.
 
 Run as a script or module::
 
@@ -23,16 +24,15 @@ Run as a script or module::
     PYTHONPATH=src python benchmarks/bench_perf_dynamics.py --smoke
 
 ``--smoke`` shrinks the traces so CI can run the harness twice (cold +
-warm process) in seconds; the accuracy and cache gates still apply, the
-scale gate does not (a tiny trace measures noise, not the engine).
+warm process) in seconds; the accuracy and cache checks still apply, the
+scale check is recorded as skipped (a tiny trace measures noise, not the
+engine).
 
-Knobs (environment variables, overridden by ``--smoke``):
+Knobs (environment variables):
 
-* ``REPRO_BENCH_EPOCHS``        comparison-trace epochs      (default 400)
-* ``REPRO_BENCH_N``             scale-workload cardinality   (default 1000000)
-* ``REPRO_BENCH_SCALE_EPOCHS``  scale-workload epochs        (default 10000)
-* ``REPRO_BENCH_CACHE``         cache directory              (default <repo>/.repro_cache/bench-dynamics)
-* ``REPRO_BENCH_OUT``           output path                  (default <repo>/BENCH_dynamics.json)
+* ``REPRO_BENCH_N``      scale-workload cardinality   (default 1000000)
+* ``REPRO_BENCH_CACHE``  cache directory              (default <repo>/.repro_cache/bench-dynamics)
+* ``REPRO_BENCH_OUT``    output path                  (default <repo>/BENCH_dynamics.json)
 
 The cache directory persists across invocations on purpose: CI runs the
 harness twice and asserts the second invocation's *cold* pass is ≥ 90 %
@@ -41,23 +41,15 @@ hits — the on-disk round-trip, not just the in-process one.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 import time
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
+import _harness  # first: puts src/ on sys.path
+from _harness import Check
 
-from repro.experiments.dynamics import (  # noqa: E402
-    PopulationTrace,
-    run_tracking_series,
-)
-from repro.experiments.sweep import SweepPoint, TrialCache, run_sweep  # noqa: E402
-from repro.obs.host import host_block  # noqa: E402
+from repro.experiments.dynamics import PopulationTrace, run_tracking_series
+from repro.experiments.sweep import SweepPoint
+from repro.obs.host import host_block
 
 BASE_SEED = 2015  # ICPP'15 — fixed so every pass replays the same seeds
 
@@ -134,15 +126,6 @@ def build_cache_grid(
     ]
 
 
-def _timed_sweep(
-    points: list[SweepPoint], cache_dir: Path, workers: int
-) -> tuple[float, TrialCache, list[dict]]:
-    cache = TrialCache(cache_dir)
-    t0 = time.perf_counter()
-    payloads = run_sweep(points, max_workers=workers, cache=cache)
-    return time.perf_counter() - t0, cache, payloads
-
-
 def run_dynamics_bench(
     *,
     epochs: int = 400,
@@ -154,9 +137,9 @@ def run_dynamics_bench(
 ) -> dict:
     """Run comparison, scale (full mode) and cache passes; return the report."""
     if workers is None:
-        workers = min(4, os.cpu_count() or 1)
+        workers = _harness.default_workers()
     if cache_dir is None:
-        cache_dir = _REPO_ROOT / ".repro_cache" / "bench-dynamics"
+        cache_dir = _harness.cache_path("bench-dynamics")
     if smoke:
         initial_size, churn_rate, grid_seeds, grid_epochs = 20_000, 0.01, 2, 60
     else:
@@ -170,26 +153,11 @@ def run_dynamics_bench(
     points = build_cache_grid(
         initial_size=initial_size // 2, epochs=grid_epochs, seeds=grid_seeds
     )
-    cold_seconds, cold_cache, cold_payloads = _timed_sweep(
-        points, cache_dir, workers
-    )
-    warm_seconds, warm_cache, warm_payloads = _timed_sweep(
-        points, cache_dir, workers
-    )
+    _, cold_pass, cold_payloads = _harness.timed_sweep(points, cache_dir, workers)
+    _, warm_pass, warm_payloads = _harness.timed_sweep(points, cache_dir, workers)
     payload_mismatches = sum(
         cold != warm for cold, warm in zip(cold_payloads, warm_payloads)
     )
-
-    def _pass(seconds: float, cache: TrialCache) -> dict:
-        total = cache.hits + cache.misses
-        return {
-            "seconds": round(seconds, 4),
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "stores": cache.stores,
-            "rejected": cache.rejected,
-            "hit_rate": round(cache.hits / total, 4) if total else 0.0,
-        }
 
     return {
         "benchmark": "dynamics",
@@ -207,10 +175,7 @@ def run_dynamics_bench(
         "host": host_block(),
         "series": series,
         "scale": scale,
-        "passes": {
-            "cold": _pass(cold_seconds, cold_cache),
-            "warm": _pass(warm_seconds, warm_cache),
-        },
+        "passes": {"cold": cold_pass, "warm": warm_pass},
         "payload_mismatches": payload_mismatches,
         "gates": {
             "ekf_rmse_airtime": series["ekf"]["rmse_airtime"],
@@ -222,40 +187,18 @@ def run_dynamics_bench(
                 else float("inf")
             ),
             "scale_wall_seconds": None if scale is None else scale["wall_seconds"],
-            "scale_budget_seconds": None if scale is None else 60.0,
         },
     }
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a != "--smoke"]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_perf_dynamics.py [--smoke]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
-    epochs = 120 if smoke else int(os.environ.get("REPRO_BENCH_EPOCHS", 400))
-    scale_n = int(os.environ.get("REPRO_BENCH_N", 1_000_000))
-    scale_epochs = int(os.environ.get("REPRO_BENCH_SCALE_EPOCHS", 10_000))
-    workers = 2 if smoke else None
-    cache_dir = Path(
-        os.environ.get(
-            "REPRO_BENCH_CACHE", _REPO_ROOT / ".repro_cache" / "bench-dynamics"
-        )
-    )
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_dynamics.json"))
-
+    smoke = _harness.parse_smoke(argv)
     report = run_dynamics_bench(
-        epochs=epochs,
-        scale_n=scale_n,
-        scale_epochs=scale_epochs,
-        workers=workers,
-        cache_dir=cache_dir,
+        epochs=120 if smoke else 400,
+        scale_n=_harness.env_int("REPRO_BENCH_N", 1_000_000),
+        workers=2 if smoke else None,
         smoke=smoke,
     )
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
     for label, summary in report["series"].items():
         print(
             f"{label:>12}: rmse={summary['rmse']:9.1f}  "
@@ -278,31 +221,37 @@ def main(argv: list[str] | None = None) -> int:
             f"misses={p['misses']} hit_rate={p['hit_rate']:.2f}"
         )
     print(f"payload mismatches (cold vs warm): {report['payload_mismatches']}")
-    print(f"wrote {out}")
 
     gates = report["gates"]
-    failures = []
-    if gates["ekf_rmse_airtime"] >= gates["independent_rmse_airtime"]:
-        failures.append(
-            f"EKF rmse*air {gates['ekf_rmse_airtime']:.1f} not better than "
-            f"independent rounds {gates['independent_rmse_airtime']:.1f}"
-        )
-    if passes["warm"]["hit_rate"] < 0.9:
-        failures.append(f"warm pass hit rate {passes['warm']['hit_rate']} < 0.9")
-    if report["payload_mismatches"]:
-        failures.append(
-            f"{report['payload_mismatches']} warm payload(s) not bit-identical "
-            f"to their cold counterparts"
-        )
-    if gates["scale_wall_seconds"] is not None:
-        if gates["scale_wall_seconds"] >= gates["scale_budget_seconds"]:
-            failures.append(
-                f"scale workload took {gates['scale_wall_seconds']:.1f}s "
-                f">= {gates['scale_budget_seconds']:.0f}s budget"
-            )
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+    checks = [
+        Check(
+            "dynamics.ekf_rmse_airtime",
+            gates["ekf_rmse_airtime"],
+            "<",
+            expect=gates["independent_rmse_airtime"],
+        ),
+        Check(
+            "dynamics.payload_mismatches",
+            report["payload_mismatches"],
+            "==",
+            expect=0,
+        ),
+        Check(
+            "dynamics.warm_hit_rate",
+            passes["warm"]["hit_rate"],
+            ">=",
+            floor="dynamics_warm_hit_rate_min",
+        ),
+        Check(
+            "dynamics.scale_wall_seconds",
+            gates["scale_wall_seconds"],
+            "<",
+            floor="dynamics_scale_wall_seconds_max",
+        ),
+    ]
+    return _harness.finish(
+        report, checks, _harness.out_path("BENCH_dynamics.json"), smoke
+    )
 
 
 if __name__ == "__main__":

@@ -19,6 +19,11 @@ Run as a script or module::
 ``--smoke`` shrinks the workload (n = 5000, T = 6, best-of-1) so
 CI can exercise the full harness — including the drift gate — in seconds.
 
+Checks (recorded in the artifact's ``checks`` list, see ``_harness.py``):
+zero drift at every scale; at full scale the batched speedup over serial
+(``engine_batched_speedup_min``) and, on a host with ≥ 2 visible cores,
+the threaded speedup over one kernel thread (``engine_threaded_speedup_min``).
+
 Knobs (environment variables, overridden by ``--smoke``):
 
 * ``REPRO_BENCH_N``        population size          (default 100000)
@@ -33,55 +38,15 @@ exercises it at a reduced scale.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
-from pathlib import Path
+import _harness  # first: puts src/ on sys.path
+from _harness import Check
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-
-from repro.experiments.runner import run_bfce_trials  # noqa: E402
-from repro.obs.host import host_block  # noqa: E402
-from repro.rfid.ids import uniform_ids  # noqa: E402
-from repro.rfid.tags import TagPopulation  # noqa: E402
+from repro.experiments.runner import run_bfce_trials
+from repro.obs.host import host_block
+from repro.rfid.ids import uniform_ids
+from repro.rfid.tags import TagPopulation
 
 BASE_SEED = 2015  # ICPP'15 — fixed so every engine replays the same seeds
-
-
-def _time_best_of(fn, repeats: int):
-    """Best-of-N wall time; returns (seconds, last_records)."""
-    best = float("inf")
-    records = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        records = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, records
-
-
-def _pinned_threads(value: str, fn):
-    """Run ``fn`` with ``REPRO_NATIVE_THREADS`` pinned, restoring after.
-
-    The kernels re-read the env var on every call, so pinning around one
-    engine run measures exactly that run at the pinned thread count — no
-    rebuild, no process restart, and bit-identical outputs either way.
-    """
-    def runner():
-        old = os.environ.get("REPRO_NATIVE_THREADS")
-        os.environ["REPRO_NATIVE_THREADS"] = value
-        try:
-            return fn()
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_NATIVE_THREADS", None)
-            else:
-                os.environ["REPRO_NATIVE_THREADS"] = old
-
-    return runner
 
 
 def run_engine_bench(
@@ -93,24 +58,28 @@ def run_engine_bench(
     """Time every engine row on one workload and return the report dict."""
     population = TagPopulation(uniform_ids(n, seed=1))
 
-    batched = lambda: run_bfce_trials(  # noqa: E731
-        population, trials=trials, base_seed=BASE_SEED, engine="batched"
-    )
-    engines = {
-        "serial": lambda: run_bfce_trials(
-            population, trials=trials, base_seed=BASE_SEED, engine="serial"
-        ),
+    def run(engine: str):
+        return run_bfce_trials(
+            population, trials=trials, base_seed=BASE_SEED, engine=engine
+        )
+
+    def batched_1t():
         # Same batched engine pinned to one kernel thread: the baseline the
         # multicore gate measures the threaded run against.
-        "batched_1t": _pinned_threads("1", batched),
-        "batched": batched,
+        with _harness.pinned_threads(1):
+            return run("batched")
+
+    engines = {
+        "serial": lambda: run("serial"),
+        "batched_1t": batched_1t,
+        "batched": lambda: run("batched"),
     }
 
     results = {}
     reference = None
     for name, fn in engines.items():
         fn()  # warm-up: page in buffers outside the clock
-        seconds, records = _time_best_of(fn, repeats)
+        seconds, records = _harness.time_best_of(fn, repeats)
         n_hats = [r.n_hat for r in records]
         if reference is None:
             reference = n_hats
@@ -152,63 +121,13 @@ def run_engine_bench(
     }
 
 
-def _check_floor(report: dict) -> list[str]:
-    """Compare the report against ``perf_floors.json``; returns failures.
-
-    The floors file stores deliberately conservative minima (about half of
-    a cold-CI measurement) so the gate trips on real regressions — a kernel
-    edit that silently falls back to Python, batching quietly disabled — and
-    not on scheduler noise.  Ratios (speedups) are used rather than absolute
-    times so the floors transfer across machines.
-    """
-    floors_path = Path(__file__).resolve().parent / "perf_floors.json"
-    floors = json.loads(floors_path.read_text())
-    failures = []
-    batched = report["engines"]["batched"]["speedup_vs_serial"]
-    floor = floors["engine_batched_speedup_min"]
-    if batched < floor:
-        failures.append(
-            f"batched speedup {batched}x fell below the stored floor {floor}x"
-        )
-    # Multicore gate: threaded kernels vs the same engine pinned to one
-    # thread.  Meaningless on a host whose affinity mask exposes a single
-    # core — then it auto-skips, visibly, instead of failing or silently
-    # passing a vacuous 1.0x.
-    threaded_floor = floors.get("engine_threaded_speedup_min")
-    cpus_visible = report["multicore"]["cpus_visible"]
-    if threaded_floor is not None:
-        if cpus_visible < 2:
-            print(
-                "SKIP: multicore speedup gate skipped — host affinity exposes "
-                f"{cpus_visible} core(s); need >= 2 for a meaningful measurement"
-            )
-        else:
-            threaded = report["multicore"]["speedup_threaded_vs_1t"]
-            if threaded < threaded_floor:
-                failures.append(
-                    f"threaded batched speedup {threaded}x over single-thread "
-                    f"fell below the stored floor {threaded_floor}x "
-                    f"(cpus_visible={cpus_visible})"
-                )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a not in ("--smoke", "--check-floor")]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_perf_engine.py [--smoke] [--check-floor]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
-    n = 5_000 if smoke else int(os.environ.get("REPRO_BENCH_N", 100_000))
-    trials = 6 if smoke else int(os.environ.get("REPRO_BENCH_TRIALS", 50))
-    repeats = 1 if smoke else int(os.environ.get("REPRO_BENCH_REPEATS", 3))
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_engine.json"))
+    smoke = _harness.parse_smoke(argv)
+    n = 5_000 if smoke else _harness.env_int("REPRO_BENCH_N", 100_000)
+    trials = 6 if smoke else _harness.env_int("REPRO_BENCH_TRIALS", 50)
+    repeats = 1 if smoke else _harness.env_int("REPRO_BENCH_REPEATS", 3)
 
     report = run_engine_bench(n=n, trials=trials, repeats=repeats)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
     for name, stats in report["engines"].items():
         print(
             f"{name:>8}: {stats['seconds']:.3f}s  "
@@ -216,22 +135,32 @@ def main(argv: list[str] | None = None) -> int:
             f"{stats['speedup_vs_serial']:5.2f}x  "
             f"max|dn_hat|={stats['max_abs_dn_hat_vs_serial']}"
         )
-    print(f"wrote {out}")
 
-    drift = max(
-        s["max_abs_dn_hat_vs_serial"] for s in report["engines"].values()
+    engines = report["engines"]
+    checks = [
+        Check(
+            "engine.drift",
+            max(s["max_abs_dn_hat_vs_serial"] for s in engines.values()),
+            "==",
+            expect=0.0,
+        ),
+        Check(
+            "engine.batched_speedup",
+            engines["batched"]["speedup_vs_serial"],
+            ">=",
+            floor="engine_batched_speedup_min",
+        ),
+        Check(
+            "engine.threaded_speedup",
+            report["multicore"]["speedup_threaded_vs_1t"],
+            ">=",
+            floor="engine_threaded_speedup_min",
+            multicore=True,
+        ),
+    ]
+    return _harness.finish(
+        report, checks, _harness.out_path("BENCH_engine.json"), smoke
     )
-    if drift != 0.0:
-        print(f"FAIL: engines drifted from serial (max |dn_hat| = {drift})")
-        return 1
-    if "--check-floor" in argv:
-        failures = _check_floor(report)
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        if failures:
-            return 1
-        print("perf floors ok")
-    return 0
 
 
 if __name__ == "__main__":

@@ -8,29 +8,31 @@ configuration (w = 2¹⁷ throughout: the default w = 8192 caps the estimable
 range near 1.94·10⁷, while the scaled 2¹⁷ persistence grid reaches past
 6.9·10⁹), then timing the batched *event* engine at n = 10⁷ on the same
 configuration for the cross-engine speedup.  It writes
-``BENCH_scale.json`` at the repo root and enforces two gates (full-run
-thresholds stored in ``benchmarks/perf_floors.json``):
+``BENCH_scale.json`` at the repo root and records three checks (each names
+a floor key; ``_harness.py`` holds the thresholds and records the verdicts):
 
 * **flatness** — analytic per-trial seconds at the largest n must stay
-  within 2× of the smallest n (the engine is O(w) per frame, so the only
-  n-dependence left is the Binomial/Multinomial draws);
-* **speedup** — the analytic engine must be ≥ 100× faster per trial than
-  the batched event engine at n = 10⁷ (the event engines hash all n·k
-  tag responses per frame; the analytic engine never touches a tagID).
+  within ``scale_flatness_max`` of the smallest n (the engine is O(w) per
+  frame, so the only n-dependence left is the Binomial/Multinomial draws);
+* **speedup** — the analytic engine must be ``scale_speedup_min`` times
+  faster per trial than the batched event engine at n = 10⁷ (the event
+  engines hash all n·k tag responses per frame; the analytic engine never
+  touches a tagID);
+* **accuracy** — the mean relative error at every n must sit inside the
+  ε = 0.05 requirement (``scale_error_mean_max``).
 
 The analytic engine is exact-in-distribution, not bit-identical, so unlike
-the sibling harnesses there is no zero-drift gate; the statistical
+the sibling harnesses there is no zero-drift check; the statistical
 equivalence suite (``tests/experiments/test_analytic_engine.py``) owns that
-contract instead.  Accuracy is still sanity-checked here: the mean relative
-error at every n must sit inside the ε = 0.05 requirement.
+contract instead.
 
 Run as a script or module::
 
     PYTHONPATH=src python benchmarks/bench_perf_scale.py
     PYTHONPATH=src python benchmarks/bench_perf_scale.py --smoke
 
-``--smoke`` shrinks the sweep (n = 10⁵/10⁶, comparison at 10⁶, relaxed
-gates) so CI can exercise the harness — including both gates — in seconds.
+``--smoke`` shrinks the sweep (n = 10⁵/10⁶, comparison at 10⁶, the floors'
+smoke values) so CI can exercise the harness — every check — in seconds.
 
 Knobs (environment variables, overridden by ``--smoke``):
 
@@ -44,25 +46,14 @@ dict without touching the filesystem.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
-from pathlib import Path
+import _harness  # first: puts src/ on sys.path
+from _harness import Check
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-
-from repro.core.config import BFCEConfig  # noqa: E402
-from repro.experiments.runner import (  # noqa: E402
-    run_bfce_trials,
-    run_bfce_trials_analytic,
-)
-from repro.obs.host import host_block  # noqa: E402
-from repro.rfid.ids import uniform_ids  # noqa: E402
-from repro.rfid.tags import TagPopulation  # noqa: E402
+from repro.core.config import BFCEConfig
+from repro.experiments.runner import run_bfce_trials, run_bfce_trials_analytic
+from repro.obs.host import host_block
+from repro.rfid.ids import uniform_ids
+from repro.rfid.tags import TagPopulation
 
 BASE_SEED = 2015  # ICPP'15 — fixed so every run replays the same seeds
 SCALE_W = 1 << 17  # shared frame size: keeps n = 10⁹ inside the estimable range
@@ -73,17 +64,6 @@ SCALE_W = 1 << 17  # shared frame size: keeps n = 10⁹ inside the estimable ran
 #: flatness gate then measures exactly the residual n-dependence (the
 #: Binomial/Multinomial ball draws).
 FULL_N_VALUES = (100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000)
-
-
-def _time_best_of(fn, repeats: int):
-    """Best-of-N wall time; returns (seconds, last_records)."""
-    best = float("inf")
-    records = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        records = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, records
 
 
 def run_scale_bench(
@@ -104,7 +84,7 @@ def run_scale_bench(
             n, trials=trials, base_seed=BASE_SEED, config=config
         )
         fn()  # warm-up: JIT-compile the native scatter kernel off the clock
-        seconds, records = _time_best_of(fn, repeats)
+        seconds, records = _harness.time_best_of(fn, repeats)
         errors = [r.error for r in records]
         analytic[str(n)] = {
             "seconds": round(seconds, 4),
@@ -127,7 +107,7 @@ def run_scale_bench(
         engine="batched",
         config=event_config,
     )
-    event_seconds, _ = _time_best_of(event_fn, 1)
+    event_seconds, _ = _harness.time_best_of(event_fn, 1)
     event_per_trial_ms = 1e3 * event_seconds / event_trials
 
     first, last = str(n_values[0]), str(n_values[-1])
@@ -159,30 +139,17 @@ def run_scale_bench(
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a != "--smoke"]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_perf_scale.py [--smoke]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
+    smoke = _harness.parse_smoke(argv)
     if smoke:
         n_values = (100_000, 1_000_000)
         event_n = 1_000_000
         trials, event_trials, repeats = 5, 1, 1
-        flatness_max, speedup_min = 3.0, 3.0
     else:
         n_values = FULL_N_VALUES
         event_n = 10_000_000
-        trials = int(os.environ.get("REPRO_BENCH_TRIALS", 20))
+        trials = _harness.env_int("REPRO_BENCH_TRIALS", 20)
         event_trials = 2
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", 3))
-        floors = json.loads(
-            (Path(__file__).resolve().parent / "perf_floors.json").read_text()
-        )
-        flatness_max = floors["scale_flatness_max"]
-        speedup_min = floors["scale_speedup_min"]
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_scale.json"))
+        repeats = _harness.env_int("REPRO_BENCH_REPEATS", 3)
 
     report = run_scale_bench(
         n_values=n_values,
@@ -191,10 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         event_trials=event_trials,
         repeats=repeats,
     )
-    report["gates"]["flatness_max"] = flatness_max
-    report["gates"]["speedup_min"] = speedup_min
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
     for n, stats in report["analytic"].items():
         print(
             f"analytic n={int(n):>11,}: {stats['per_trial_ms']:8.3f} ms/trial  "
@@ -202,31 +165,26 @@ def main(argv: list[str] | None = None) -> int:
         )
     ev = report["event_batched"]
     print(f"event    n={ev['n']:>11,}: {ev['per_trial_ms']:8.1f} ms/trial (batched)")
-    gates = report["gates"]
-    print(
-        f"flatness {gates['flatness_ratio']:.2f}x (max {flatness_max}x), "
-        f"speedup {gates['speedup_vs_event']:.0f}x (min {speedup_min:.0f}x)"
-    )
-    print(f"wrote {out}")
 
-    failed = False
-    if gates["flatness_ratio"] > flatness_max:
-        print(
-            f"FAIL: per-trial time grew {gates['flatness_ratio']:.2f}x from "
-            f"n={n_values[0]:,} to n={n_values[-1]:,} (max {flatness_max}x)"
-        )
-        failed = True
-    if gates["speedup_vs_event"] < speedup_min:
-        print(
-            f"FAIL: analytic only {gates['speedup_vs_event']:.1f}x faster than "
-            f"the event engine at n={event_n:,} (min {speedup_min:.0f}x)"
-        )
-        failed = True
-    mean_errors = [s["error_mean"] for s in report["analytic"].values()]
-    if max(mean_errors) > 0.05:
-        print(f"FAIL: mean relative error {max(mean_errors):.4f} exceeds eps=0.05")
-        failed = True
-    return 1 if failed else 0
+    gates = report["gates"]
+    checks = [
+        Check(
+            "scale.flatness", gates["flatness_ratio"], "<=", floor="scale_flatness_max"
+        ),
+        Check(
+            "scale.speedup_vs_event",
+            gates["speedup_vs_event"],
+            ">=",
+            floor="scale_speedup_min",
+        ),
+        Check(
+            "scale.error_mean",
+            max(s["error_mean"] for s in report["analytic"].values()),
+            "<=",
+            floor="scale_error_mean_max",
+        ),
+    ]
+    return _harness.finish(report, checks, _harness.out_path("BENCH_scale.json"), smoke)
 
 
 if __name__ == "__main__":

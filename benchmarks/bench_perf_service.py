@@ -8,21 +8,21 @@ populations up to 10⁸, drives it with the async load generator, and writes
 1. **equivalence** — every (zone, seed) served over the wire is replayed
    as a direct ``execute_point_inline`` single; the n̂ drift must be
    exactly 0.0 (coalescing and caching claim bit-identity, not
-   statistical agreement).  Always gated, every run, any host.
+   statistical agreement).  Always checked, every run, any host.
 2. **cold** — globally unique seeds, so every tick coalesces into real
    engine calls; reports requests per engine call (coalescing ratio) and
    the latency tail under compute-bound load.
 3. **warm** — a small per-zone seed window, so the steady state is served
-   from the memory LRU / disk cache; this is the regime the SLO floors in
-   ``perf_floors.json`` gate (``service_rps_min``, ``service_p99_ms_max``)
-   — skipped with a visible notice when the host affinity mask exposes a
-   single core, like the multicore gate in ``bench_perf_engine.py``.
+   from the memory LRU / disk cache; this is the regime the SLO floors
+   gate (``service_rps_min``, ``service_p99_ms_max``) — recorded as
+   skipped when the host affinity mask exposes a single core, like the
+   multicore check in ``bench_perf_engine.py``.
 4. **telemetry** — the live-telemetry layer measured under the same load:
 
    * *trace overhead* — best-of-two alternating warm passes with tracing
      disabled vs 1/64 head-sampled (the always-on production setting);
      the throughput cost is gated by ``service_trace_overhead_pct_max``
-     (auto-skipped below two visible cores, like the warm SLO gate).
+     (skipped below two visible cores, like the warm SLO floors).
      The pre-existing tracer configuration (CI runs the whole bench under
      ``REPRO_TRACE``) is saved and restored around the comparison.
    * *SLO spike* — ``set_slo(p99=50 ms)`` plus a sleep wrapped around the
@@ -32,50 +32,42 @@ populations up to 10⁸, drives it with the async load generator, and writes
      evaluator slack — sleep-driven, so gated on any host).
    * *reconciliation* — after all load, every windowed telemetry total
      must equal its lifetime counter delta **bit-exactly** (the ring
-     windows' conservation invariant).  Always gated, like equivalence.
+     windows' conservation invariant).  Always checked, like equivalence.
+
+Zero non-shed errors under load is checked every run as well.  Every
+floor applies at both scales.
 
 Run as a script or module::
 
     PYTHONPATH=src python benchmarks/bench_perf_service.py
-    PYTHONPATH=src python benchmarks/bench_perf_service.py --smoke --check-floor
+    PYTHONPATH=src python benchmarks/bench_perf_service.py --smoke
 
-``--smoke`` shrinks the load (8 zones, 2 connections, 40 requests each) so
-CI exercises the full harness — including the equivalence gate — in
-seconds.
-
-Knobs (environment variables, overridden by ``--smoke``):
-
-* ``REPRO_BENCH_SERVICE_ZONES``    zone count               (default 256)
-* ``REPRO_BENCH_SERVICE_NMAX``     largest zone population  (default 10**8)
-* ``REPRO_BENCH_SERVICE_CONNS``    concurrent connections   (default 16)
-* ``REPRO_BENCH_SERVICE_REQS``     requests per connection  (default 250)
-* ``REPRO_BENCH_SERVICE_WORKERS``  executor threads         (default 2)
-* ``REPRO_BENCH_OUT``              output path (default <repo>/BENCH_service.json)
+The full run drives 256 zones up to n = 10⁸ over 16 connections × 250
+requests with 2 executor threads; ``--smoke`` shrinks the load (8 zones up
+to 10⁶, 2 connections, 40 requests each) so CI exercises the full harness
+in seconds.  ``REPRO_BENCH_OUT`` relocates the artifact (default
+<repo>/BENCH_service.json).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
+import _harness  # first: puts src/ on sys.path
+from _harness import Check
 
-from repro.experiments.sweep import TrialCache, execute_point_inline  # noqa: E402
-from repro.obs import metrics as obs_metrics  # noqa: E402
-from repro.obs import trace as obs_trace  # noqa: E402
-from repro.obs.host import host_block  # noqa: E402
-from repro.obs.live import SLOSpec, zone_metric  # noqa: E402
-from repro.service.loadgen import run_load  # noqa: E402
-from repro.service.server import EstimationServer  # noqa: E402
-from repro.service.zones import ZoneConfig  # noqa: E402
+from repro.experiments.sweep import TrialCache, execute_point_inline
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.obs.host import host_block
+from repro.obs.live import SLOSpec, zone_metric
+from repro.service.loadgen import run_load
+from repro.service.server import EstimationServer
+from repro.service.zones import ZoneConfig
 
 BASE_SEED = 2015  # unused by the service itself; kept for report symmetry
 
@@ -438,95 +430,14 @@ def run_service_bench(
         )
 
 
-def _check_floor(report: dict) -> list[str]:
-    """Gate the warm-phase SLO and telemetry floors against ``perf_floors.json``.
-
-    The SLO-alert latency gate is sleep-driven (the injected spike
-    dominates any scheduling noise) so it runs on any host.  The
-    throughput-relative gates — warm rps/p99 and the sampled-tracing
-    overhead — are meaningless on a host whose affinity mask exposes a
-    single core (the event loop and the engine executor would time-slice
-    one CPU), so they auto-skip visibly instead of failing or silently
-    passing, like the multicore gate in ``bench_perf_engine.py``.
-    """
-    floors = json.loads(
-        (Path(__file__).resolve().parent / "perf_floors.json").read_text()
-    )
-    failures = []
-    telemetry = report.get("telemetry") or {}
-    spike = telemetry.get("slo_spike") or {}
-    alert_max = floors.get("service_slo_alert_seconds_max")
-    if alert_max is not None and spike:
-        alert_seconds = spike.get("alert_seconds")
-        if alert_seconds is None:
-            failures.append(
-                "injected latency spike never tripped the p99 SLO burn alert"
-            )
-        elif alert_seconds > alert_max:
-            failures.append(
-                f"p99 SLO burn alert took {alert_seconds:.2f} s, over the "
-                f"stored ceiling {alert_max} s (two windows + evaluator slack)"
-            )
-    cpus_visible = report["host"]["cpus_affinity"]
-    if cpus_visible < 2:
-        print(
-            "SKIP: service SLO + trace-overhead gates skipped — host "
-            f"affinity exposes {cpus_visible} core(s); need >= 2 for a "
-            "meaningful measurement"
-        )
-        return failures
-    warm = report["warm"]
-    rps_min = floors.get("service_rps_min")
-    p99_max = floors.get("service_p99_ms_max")
-    if rps_min is not None and warm["rps"] < rps_min:
-        failures.append(
-            f"warm-cache throughput {warm['rps']:.0f} req/s fell below the "
-            f"stored floor {rps_min} req/s"
-        )
-    if p99_max is not None and warm["p99_ms"] > p99_max:
-        failures.append(
-            f"warm-cache p99 {warm['p99_ms']:.1f} ms exceeded the stored "
-            f"ceiling {p99_max} ms"
-        )
-    overhead_max = floors.get("service_trace_overhead_pct_max")
-    overhead = telemetry.get("trace_overhead_pct")
-    if overhead_max is not None and overhead is not None and overhead > overhead_max:
-        failures.append(
-            f"1/{telemetry.get('trace_sample', '?')} sampled tracing cost "
-            f"{overhead:.2f} % warm throughput, over the stored ceiling "
-            f"{overhead_max} %"
-        )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a not in ("--smoke", "--check-floor")]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print(
-            "usage: bench_perf_service.py [--smoke] [--check-floor]",
-            file=sys.stderr,
+    smoke = _harness.parse_smoke(argv)
+    if smoke:
+        report = run_service_bench(
+            zones=8, n_max=10**6, connections=2, requests_per_connection=40
         )
-        return 2
-    smoke = "--smoke" in argv
-    env = os.environ.get
-    zones = 8 if smoke else int(env("REPRO_BENCH_SERVICE_ZONES", 256))
-    n_max = 10**6 if smoke else int(env("REPRO_BENCH_SERVICE_NMAX", 10**8))
-    connections = 2 if smoke else int(env("REPRO_BENCH_SERVICE_CONNS", 16))
-    requests = 40 if smoke else int(env("REPRO_BENCH_SERVICE_REQS", 250))
-    workers = int(env("REPRO_BENCH_SERVICE_WORKERS", 2))
-    out = Path(env("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_service.json"))
-
-    report = run_service_bench(
-        zones=zones,
-        n_max=n_max,
-        connections=connections,
-        requests_per_connection=requests,
-        workers=workers,
-    )
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
+    else:
+        report = run_service_bench()
     for phase in ("cold", "warm"):
         stats = report[phase]
         print(
@@ -556,35 +467,55 @@ def main(argv: list[str] | None = None) -> int:
         f" telem: reconcile exact={telem['reconcile_exact']} "
         f"({len(telem['reconcile'])} counters)  slo spike: {alert_txt}"
     )
-    print(f"wrote {out}")
 
-    drift = report["equivalence"]["max_abs_dn_hat"]
-    if drift != 0.0:
-        print(f"FAIL: served estimates drifted from direct engine (|dn_hat|={drift})")
-        return 1
-    errors = report["cold"]["errors"] + report["warm"]["errors"]
-    if errors:
-        print(f"FAIL: {errors} non-shed error response(s) under load")
-        return 1
-    if not telem["reconcile_exact"]:
-        bad = {
-            name: entry
-            for name, entry in telem["reconcile"].items()
-            if not entry["exact"]
-        }
-        print(f"FAIL: windowed telemetry diverged from lifetime counters: {bad}")
-        return 1
-    if spike["alert_seconds"] is None:
-        print("FAIL: injected latency spike never tripped the p99 SLO burn alert")
-        return 1
-    if "--check-floor" in argv:
-        failures = _check_floor(report)
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        if failures:
-            return 1
-        print("service perf floors ok")
-    return 0
+    warm = report["warm"]
+    checks = [
+        Check(
+            "service.drift", report["equivalence"]["max_abs_dn_hat"], "==", expect=0.0
+        ),
+        Check(
+            "service.errors",
+            report["cold"]["errors"] + warm["errors"],
+            "==",
+            expect=0,
+        ),
+        Check("service.reconcile_exact", telem["reconcile_exact"], "==", expect=True),
+        Check(
+            "service.slo_alerted", spike["alert_seconds"] is not None, "==", expect=True
+        ),
+        Check(
+            "service.slo_alert_seconds",
+            spike["alert_seconds"],
+            "<=",
+            floor="service_slo_alert_seconds_max",
+        ),
+        # Throughput-relative floors: on one core the event loop and the
+        # engine executor time-slice a single CPU, so they need two.
+        Check(
+            "service.warm_rps",
+            warm["rps"],
+            ">=",
+            floor="service_rps_min",
+            multicore=True,
+        ),
+        Check(
+            "service.warm_p99_ms",
+            warm["p99_ms"],
+            "<=",
+            floor="service_p99_ms_max",
+            multicore=True,
+        ),
+        Check(
+            "service.trace_overhead_pct",
+            telem["trace_overhead_pct"],
+            "<=",
+            floor="service_trace_overhead_pct_max",
+            multicore=True,
+        ),
+    ]
+    return _harness.finish(
+        report, checks, _harness.out_path("BENCH_service.json"), smoke
+    )
 
 
 if __name__ == "__main__":

@@ -8,32 +8,37 @@ n = 10⁶, times the coordinator's pre-stacked union+estimate at 2 and 256
 readers, checks the observed relative error against the HLL analytic bound
 1.04/√m, and replays the update kernel under 1/2/7 threads to prove
 bit-identity with the NumPy reference.  It writes ``BENCH_sketch.json``
-at the repo root and enforces four gates (full-run thresholds stored in
-``benchmarks/perf_floors.json``):
+at the repo root and records these checks (the timing ones name a floor
+key; ``_harness.py`` holds the thresholds and records the verdicts):
 
+* **native available** — the native library must load (exact);
 * **kernel speedup** — the fused C update (hash + bucket + rank + max in
-  one pass) must be ≥ 4× the NumPy multi-pass update at n = 10⁶;
+  one pass) must be ``sketch_native_speedup_min`` times the NumPy
+  multi-pass update at n = 10⁶;
 * **union flatness** — coordinator union+estimate at p = 10 must grow
-  < 2× from 2 to 256 readers (the register merge is O(R·m) byte maxes, so
-  the fixed estimate cost dominates; p = 12 is reported alongside for
-  transparency — at m = 4096 the 1 MiB merge is memory-bound and exceeds
-  the fixed cost, which is exactly why the gate pins p);
-* **accuracy** — mean observed relative error ≤ 1.5 × 1.04/√m;
+  at most ``sketch_union_flatness_max`` from 2 to 256 readers (the
+  register merge is O(R·m) byte maxes, so the fixed estimate cost
+  dominates; p = 12 is reported alongside for transparency — at m = 4096
+  the 1 MiB merge is memory-bound and exceeds the fixed cost, which is
+  exactly why the gate pins p);
+* **accuracy** — mean observed relative error at most
+  ``sketch_error_bound_factor_max`` × 1.04/√m;
 * **bit-identity** — native registers equal the NumPy reference register
   for register under ``REPRO_NATIVE_THREADS`` ∈ {1, 2, 7}; zero tolerance.
 
-A fifth multicore measurement (threaded vs single-thread native update)
-follows the ``bench_perf_engine.py`` convention: gated only when the host
-affinity mask exposes ≥ 2 cores, visibly skipped otherwise.
+A multicore check (threaded vs single-thread native update,
+``sketch_threaded_speedup_min``) follows the ``bench_perf_engine.py``
+convention: gated at full scale when the host affinity mask exposes ≥ 2
+cores, recorded as skipped otherwise.
 
 Run as a script or module::
 
     PYTHONPATH=src python benchmarks/bench_perf_sketch.py
     PYTHONPATH=src python benchmarks/bench_perf_sketch.py --smoke
 
-``--smoke`` shrinks the workload (n = 2·10⁵, fewer repeats, relaxed
-timing floors) so CI can exercise the harness — including every gate —
-in seconds.  The bit-identity gate is never relaxed.
+``--smoke`` shrinks the workload (n = 2·10⁵, fewer repeats, the floors'
+smoke values) so CI can exercise the harness in seconds.  The bit-identity
+check is never relaxed.
 
 Knobs (environment variables, overridden by ``--smoke``):
 
@@ -47,25 +52,15 @@ dict without touching the filesystem.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
-from pathlib import Path
-
+import _harness  # first: puts src/ on sys.path
 import numpy as np
+from _harness import Check
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-
-from repro.obs import trace as obs_trace  # noqa: E402
-from repro.obs.host import host_block  # noqa: E402
-from repro.rfid import _native  # noqa: E402
-from repro.rfid.ids import uniform_ids  # noqa: E402
-from repro.rfid.multireader import SketchCoordinator  # noqa: E402
-from repro.sketch.hll import (  # noqa: E402
+from repro.obs.host import host_block
+from repro.rfid import _native
+from repro.rfid.ids import uniform_ids
+from repro.rfid.multireader import SketchCoordinator
+from repro.sketch.hll import (
     HLLSketch,
     _seed_mix,
     hll_estimate,
@@ -85,15 +80,6 @@ READER_COUNTS = (2, 256)
 IDENTITY_THREADS = (1, 2, 7)
 
 
-def _time_best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _time_per_call_us(fn, calls: int, repeats: int) -> float:
     """Best-of mean microseconds per call over ``calls`` back-to-back calls."""
 
@@ -101,7 +87,7 @@ def _time_per_call_us(fn, calls: int, repeats: int) -> float:
         for _ in range(calls):
             fn()
 
-    return 1e6 * _time_best_of(burst, repeats) / calls
+    return 1e6 * _harness.time_best_of(burst, repeats)[0] / calls
 
 
 def _filled_coordinator(ids: np.ndarray, n_readers: int, p: int) -> SketchCoordinator:
@@ -117,28 +103,6 @@ def _filled_coordinator(ids: np.ndarray, n_readers: int, p: int) -> SketchCoordi
         sketch.add_ids(ids[r::n_readers])
         coordinator.submit(r, sketch)
     return coordinator
-
-
-def _with_native_threads(value: str | None):
-    """Context manager: pin/restore ``REPRO_NATIVE_THREADS`` around a block."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def _ctx():
-        old = os.environ.get("REPRO_NATIVE_THREADS")
-        try:
-            if value is None:
-                os.environ.pop("REPRO_NATIVE_THREADS", None)
-            else:
-                os.environ["REPRO_NATIVE_THREADS"] = value
-            yield
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_NATIVE_THREADS", None)
-            else:
-                os.environ["REPRO_NATIVE_THREADS"] = old
-
-    return _ctx()
 
 
 def run_sketch_bench(
@@ -157,7 +121,7 @@ def run_sketch_bench(
 
     # --- register kernel: fused native vs chunked NumPy -------------------
     native_available = _native.get_lib() is not None
-    numpy_seconds = _time_best_of(
+    numpy_seconds, _ = _harness.time_best_of(
         lambda: hll_registers_numpy(ids, seed_mix, p), repeats
     )
     kernel = {
@@ -167,15 +131,15 @@ def run_sketch_bench(
         "native_available": native_available,
     }
     if native_available:
-        native_seconds = _time_best_of(
+        native_seconds, _ = _harness.time_best_of(
             lambda: _native.hll_update_native(ids, seed_mix, p), repeats
         )
         kernel["native_ms"] = round(1e3 * native_seconds, 3)
         kernel["speedup"] = round(numpy_seconds / native_seconds, 2)
 
         # Multicore: threaded update vs the same kernel pinned to 1 thread.
-        with _with_native_threads("1"):
-            one_thread = _time_best_of(
+        with _harness.pinned_threads(1):
+            one_thread, _ = _harness.time_best_of(
                 lambda: _native.hll_update_native(ids, seed_mix, p), repeats
             )
         kernel["speedup_threaded_vs_1t"] = round(one_thread / native_seconds, 2)
@@ -220,7 +184,7 @@ def run_sketch_bench(
     if native_available:
         mismatches = 0
         for threads in IDENTITY_THREADS:
-            with _with_native_threads(str(threads)):
+            with _harness.pinned_threads(threads):
                 registers = _native.hll_update_native(identity_ids, seed_mix, p)
             mismatches += int(np.count_nonzero(registers != reference))
     identity["register_mismatches"] = mismatches
@@ -254,33 +218,16 @@ def run_sketch_bench(
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a != "--smoke"]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_perf_sketch.py [--smoke]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
+    smoke = _harness.parse_smoke(argv)
     if smoke:
         n = 200_000
         union_fill_n, union_calls = 60_000, 60
         accuracy_seeds, repeats = 3, 1
-        # Timing floors relax under CI noise at small n; identity never does.
-        speedup_min, flatness_max, factor_max = 2.0, 3.0, 2.0
-        threaded_min = None
     else:
-        n = int(os.environ.get("REPRO_BENCH_N", 1_000_000))
+        n = _harness.env_int("REPRO_BENCH_N", 1_000_000)
         union_fill_n, union_calls = 200_000, 200
         accuracy_seeds = 5
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", 3))
-        floors = json.loads(
-            (Path(__file__).resolve().parent / "perf_floors.json").read_text()
-        )
-        speedup_min = floors["sketch_native_speedup_min"]
-        flatness_max = floors["sketch_union_flatness_max"]
-        factor_max = floors["sketch_error_bound_factor_max"]
-        threaded_min = floors.get("sketch_threaded_speedup_min")
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_sketch.json"))
+        repeats = _harness.env_int("REPRO_BENCH_REPEATS", 3)
 
     report = run_sketch_bench(
         n=n,
@@ -289,12 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         accuracy_seeds=accuracy_seeds,
         repeats=repeats,
     )
-    gates = report["gates"]
-    gates["speedup_min"] = speedup_min
-    gates["flatness_max"] = flatness_max
-    gates["error_bound_factor_max"] = factor_max
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
     kernel = report["kernel"]
     if kernel["native_available"]:
         print(
@@ -323,61 +264,43 @@ def main(argv: list[str] | None = None) -> int:
         f"identity threads={ident['threads']}: "
         f"{ident['register_mismatches']} register mismatch(es)"
     )
-    print(f"wrote {out}")
 
-    failed = False
-    if not kernel["native_available"]:
-        print("FAIL: native library unavailable — the fused register kernel "
-              "did not build, so every update would fall back to NumPy")
-        failed = True
-    else:
-        if gates["native_speedup"] < speedup_min:
-            print(
-                f"FAIL: native register kernel only {gates['native_speedup']:.2f}x "
-                f"NumPy at n={kernel['n']:,} (min {speedup_min}x)"
-            )
-            failed = True
-        # Multicore gate: threaded update vs 1 thread.  Meaningless on a
-        # single-core affinity mask — then it skips, visibly.
-        cpus_visible = report["host"]["cpus_affinity"]
-        if threaded_min is not None:
-            if cpus_visible < 2:
-                print(
-                    "SKIP: sketch multicore gate skipped — host affinity exposes "
-                    f"{cpus_visible} core(s); need >= 2 for a meaningful measurement"
-                )
-            elif kernel["speedup_threaded_vs_1t"] < threaded_min:
-                print(
-                    f"FAIL: threaded update {kernel['speedup_threaded_vs_1t']:.2f}x "
-                    f"vs 1 thread fell below the stored floor {threaded_min}x "
-                    f"(cpus_visible={cpus_visible})"
-                )
-                failed = True
-    if gates["union_flatness_ratio"] > flatness_max:
-        print(
-            f"FAIL: union+estimate grew {gates['union_flatness_ratio']:.2f}x from "
-            f"{READER_COUNTS[0]} to {READER_COUNTS[-1]} readers (max {flatness_max}x)"
-        )
-        failed = True
-    if gates["error_bound_factor"] > factor_max:
-        print(
-            f"FAIL: mean relative error {acc['error_mean']:.4f} is "
-            f"{gates['error_bound_factor']:.2f}x the 1.04/sqrt(m) bound "
-            f"(max {factor_max}x)"
-        )
-        failed = True
-    if gates["identity_mismatches"] is None or gates["identity_mismatches"] > 0:
-        print(
-            f"FAIL: native registers diverged from the NumPy reference "
-            f"({gates['identity_mismatches']} mismatches across threads "
-            f"{list(IDENTITY_THREADS)})"
-        )
-        failed = True
-    # Under REPRO_TRACE, land the cumulative counters (sketch.*, kernel.*)
-    # in the trace so `repro-rfid obs summary` renders the sketch block.
-    # No-op when tracing is disabled.
-    obs_trace.flush()
-    return 1 if failed else 0
+    gates = report["gates"]
+    checks = [
+        Check("sketch.native_available", kernel["native_available"], "==", expect=True),
+        Check(
+            "sketch.identity_mismatches",
+            gates["identity_mismatches"],
+            "==",
+            expect=0,
+        ),
+        Check(
+            "sketch.native_speedup",
+            gates["native_speedup"],
+            ">=",
+            floor="sketch_native_speedup_min",
+        ),
+        Check(
+            "sketch.threaded_speedup",
+            kernel.get("speedup_threaded_vs_1t"),
+            ">=",
+            floor="sketch_threaded_speedup_min",
+            multicore=True,
+        ),
+        Check(
+            "sketch.union_flatness",
+            gates["union_flatness_ratio"],
+            "<=",
+            floor="sketch_union_flatness_max",
+        ),
+        Check(
+            "sketch.error_bound_factor",
+            gates["error_bound_factor"],
+            "<=",
+            floor="sketch_error_bound_factor_max",
+        ),
+    ]
+    return _harness.finish(report, checks, _harness.out_path("BENCH_sketch.json"), smoke)
 
 
 if __name__ == "__main__":

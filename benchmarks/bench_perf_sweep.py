@@ -11,11 +11,13 @@ the pre-sweep execution model and gates its hard contracts:
    worker processes, and persisted to the content-addressed cache.
 3. **Warm pass** — the same call again: everything served from the cache.
 
-Zero-drift gate (exit 1 on violation): the ``TrialRecord``s decoded from
+Zero-drift check (exit 1 on violation): the ``TrialRecord``s decoded from
 the cold *and* warm payloads must be **bit-identical** — max |Δn̂| = 0 and
 max |Δseconds| = 0 — to the serial reference records.  The warm pass must
-also hit the cache on ≥ 90 % of points.  In full mode the harness
-additionally gates cold speedup ≥ 2× and warm speedup ≥ 10× over serial.
+also hit the cache (``sweep_warm_hit_rate_min``).  At full scale the
+harness additionally checks the cold and warm speedups over serial
+(``sweep_cold_speedup_min``, ``sweep_warm_speedup_min``; no smoke values,
+so ``--smoke`` records them as skipped).
 
 It also times the real figure generators (reduced parameters) cold vs warm
 against a private cache directory, since figure regeneration is the layer's
@@ -27,8 +29,8 @@ Run as a script or module::
     PYTHONPATH=src python benchmarks/bench_perf_sweep.py --smoke
 
 ``--smoke`` shrinks the grid so CI can run the harness twice (cold + warm
-process) in seconds; the drift and hit-rate gates still apply, the timing
-gates do not (tiny workloads measure noise, not the engines).
+process) in seconds; the drift and hit-rate checks still apply, the timing
+checks do not (tiny workloads measure noise, not the engines).
 
 Knobs (environment variables, overridden by ``--smoke``):
 
@@ -44,28 +46,19 @@ hits with zero drift — the on-disk round-trip, not just the in-process one.
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 import time
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
+import _harness  # first: puts src/ on sys.path
+from _harness import Check
 
-from repro.baselines import LOF, SRC, ZOE  # noqa: E402
-from repro.core.accuracy import AccuracyRequirement  # noqa: E402
-from repro.experiments.runner import run_bfce_trials, run_trials  # noqa: E402
-from repro.experiments.sweep import (  # noqa: E402
-    SweepPoint,
-    TrialCache,
-    records_from_payload,
-    run_sweep,
-)
-from repro.experiments.workloads import population  # noqa: E402
-from repro.obs.host import host_block  # noqa: E402
+from repro.baselines import LOF, SRC, ZOE
+from repro.core.accuracy import AccuracyRequirement
+from repro.experiments.runner import run_bfce_trials, run_trials
+from repro.experiments.sweep import SweepPoint, records_from_payload
+from repro.experiments.workloads import population
+from repro.obs.host import host_block
 
 BASE_SEED = 2015  # ICPP'15 — fixed so every pass replays the same seeds
 
@@ -139,16 +132,6 @@ def run_serial_reference(points: list[SweepPoint]) -> tuple[float, list[list]]:
     return time.perf_counter() - t0, record_lists
 
 
-def _timed_sweep(
-    points: list[SweepPoint], cache_dir: Path, workers: int
-) -> tuple[float, TrialCache, list[list]]:
-    cache = TrialCache(cache_dir)
-    t0 = time.perf_counter()
-    payloads = run_sweep(points, max_workers=workers, cache=cache)
-    seconds = time.perf_counter() - t0
-    return seconds, cache, [records_from_payload(p) for p in payloads]
-
-
 def _max_drift(reference: list[list], candidate: list[list]) -> dict:
     """Max |Δn̂| and |Δseconds| between two aligned record-list sets."""
     max_dn = 0.0
@@ -201,9 +184,9 @@ def run_sweep_bench(
 ) -> dict:
     """Run the serial/cold/warm passes and return the report dict."""
     if workers is None:
-        workers = min(4, os.cpu_count() or 1)
+        workers = _harness.default_workers()
     if cache_dir is None:
-        cache_dir = _REPO_ROOT / ".repro_cache" / "bench"
+        cache_dir = _harness.cache_path("bench")
     if smoke:
         n_values = [3_000]
         distributions = ["T1", "T2"]
@@ -215,11 +198,17 @@ def run_sweep_bench(
     )
 
     serial_seconds, serial_records = run_serial_reference(points)
-    cold_seconds, cold_cache, cold_records = _timed_sweep(points, cache_dir, workers)
-    warm_seconds, warm_cache, warm_records = _timed_sweep(points, cache_dir, workers)
+    passes = {"serial_reference": {"seconds": round(serial_seconds, 4)}}
+    records = {}
+    for name in ("cold", "warm"):
+        seconds, passes[name], payloads = _harness.timed_sweep(
+            points, cache_dir, workers
+        )
+        passes[name]["speedup_vs_serial"] = round(serial_seconds / seconds, 2)
+        records[name] = [records_from_payload(p) for p in payloads]
 
-    drift_cold = _max_drift(serial_records, cold_records)
-    drift_warm = _max_drift(serial_records, warm_records)
+    drift_cold = _max_drift(serial_records, records["cold"])
+    drift_warm = _max_drift(serial_records, records["warm"])
     drift = {
         "max_abs_dn_hat": max(
             drift_cold["max_abs_dn_hat"], drift_warm["max_abs_dn_hat"]
@@ -241,18 +230,6 @@ def run_sweep_bench(
     finally:
         os.environ.pop("REPRO_CACHE_DIR", None)
 
-    def _pass(seconds: float, cache: TrialCache) -> dict:
-        total = cache.hits + cache.misses
-        return {
-            "seconds": round(seconds, 4),
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "stores": cache.stores,
-            "rejected": cache.rejected,
-            "hit_rate": round(cache.hits / total, 4) if total else 0.0,
-            "speedup_vs_serial": round(serial_seconds / seconds, 2),
-        }
-
     return {
         "benchmark": "sweep_cache",
         "workload": {
@@ -266,11 +243,7 @@ def run_sweep_bench(
             "smoke": smoke,
         },
         "host": host_block(),
-        "passes": {
-            "serial_reference": {"seconds": round(serial_seconds, 4)},
-            "cold": _pass(cold_seconds, cold_cache),
-            "warm": _pass(warm_seconds, warm_cache),
-        },
+        "passes": passes,
         "figure_set": {
             "cold_seconds": round(figures_cold, 4),
             "warm_seconds": round(figures_warm, 4),
@@ -283,26 +256,11 @@ def run_sweep_bench(
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [a for a in argv if a != "--smoke"]
-    if unknown:
-        print(f"unknown argument(s): {' '.join(unknown)}", file=sys.stderr)
-        print("usage: bench_perf_sweep.py [--smoke]", file=sys.stderr)
-        return 2
-    smoke = "--smoke" in argv
-    n_max = 10_000 if smoke else int(os.environ.get("REPRO_BENCH_N", 100_000))
-    trials = 4 if smoke else int(os.environ.get("REPRO_BENCH_TRIALS", 10))
+    smoke = _harness.parse_smoke(argv)
+    n_max = 10_000 if smoke else _harness.env_int("REPRO_BENCH_N", 100_000)
+    trials = 4 if smoke else _harness.env_int("REPRO_BENCH_TRIALS", 10)
     workers = 2 if smoke else None
-    cache_dir = Path(
-        os.environ.get("REPRO_BENCH_CACHE", _REPO_ROOT / ".repro_cache" / "bench")
-    )
-    out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_sweep.json"))
-
-    report = run_sweep_bench(
-        n_max=n_max, trials=trials, workers=workers, cache_dir=cache_dir, smoke=smoke
-    )
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
+    report = run_sweep_bench(n_max=n_max, trials=trials, workers=workers, smoke=smoke)
     passes = report["passes"]
     print(f"serial reference: {passes['serial_reference']['seconds']:.3f}s")
     for name in ("cold", "warm"):
@@ -321,31 +279,34 @@ def main(argv: list[str] | None = None) -> int:
         f"           drift: max|dn_hat|={drift['max_abs_dn_hat']} "
         f"max|dseconds|={drift['max_abs_dseconds']} over {drift['records']} records"
     )
-    print(f"wrote {out}")
 
-    failures = []
-    if drift["max_abs_dn_hat"] != 0.0 or drift["max_abs_dseconds"] != 0.0:
-        failures.append(
-            f"cached/parallel records drifted from direct serial runners "
-            f"(max|dn_hat|={drift['max_abs_dn_hat']}, "
-            f"max|dseconds|={drift['max_abs_dseconds']})"
-        )
-    if passes["warm"]["hit_rate"] < 0.9:
-        failures.append(
-            f"warm pass hit rate {passes['warm']['hit_rate']} < 0.9"
-        )
-    if not smoke:
-        if passes["cold"]["speedup_vs_serial"] < 2.0:
-            failures.append(
-                f"cold speedup {passes['cold']['speedup_vs_serial']}x < 2x vs serial"
-            )
-        if passes["warm"]["speedup_vs_serial"] < 10.0:
-            failures.append(
-                f"warm speedup {passes['warm']['speedup_vs_serial']}x < 10x vs serial"
-            )
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+    checks = [
+        Check(
+            "sweep.drift",
+            max(drift["max_abs_dn_hat"], drift["max_abs_dseconds"]),
+            "==",
+            expect=0.0,
+        ),
+        Check(
+            "sweep.warm_hit_rate",
+            passes["warm"]["hit_rate"],
+            ">=",
+            floor="sweep_warm_hit_rate_min",
+        ),
+        Check(
+            "sweep.cold_speedup",
+            passes["cold"]["speedup_vs_serial"],
+            ">=",
+            floor="sweep_cold_speedup_min",
+        ),
+        Check(
+            "sweep.warm_speedup",
+            passes["warm"]["speedup_vs_serial"],
+            ">=",
+            floor="sweep_warm_speedup_min",
+        ),
+    ]
+    return _harness.finish(report, checks, _harness.out_path("BENCH_sweep.json"), smoke)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ but trend tracking wants one artifact: this script collapses whichever
 reports exist into ``BENCH_trajectory.json``, keeping for each benchmark
 its headline speedup, its drift against the bit-identical reference (absent
 for the analytic engine, whose contract is distributional — the accuracy
-envelope is recorded instead) and the workload it was measured on.
+envelope is recorded instead), the workload it was measured on, and its
+check verdicts: pass/fail/skipped counts plus the name, status and reason
+of every check that did not pass (``checks: null`` for a report written
+before harnesses recorded checks).
 
 Run as a script::
 
@@ -48,6 +51,22 @@ def _host_summary(report: dict) -> dict | None:
         key: host[key]
         for key in ("cpus", "cpus_affinity", "native_threads", "native_threads_env")
         if key in host
+    }
+
+
+def _checks_summary(report: dict) -> dict | None:
+    """Verdict counts and the non-passing checks of a report's ``checks`` list."""
+    checks = report.get("checks")
+    if checks is None:
+        return None
+    statuses = [check["status"] for check in checks]
+    return {
+        **{status: statuses.count(status) for status in ("pass", "fail", "skipped")},
+        "not_passed": [
+            {key: check[key] for key in ("name", "status", "reason")}
+            for check in checks
+            if check["status"] != "pass"
+        ],
     }
 
 
@@ -221,6 +240,7 @@ def collect_trajectory(directory: Path | str | None = None) -> dict:
         summary = summarise(report)
         summary["source"] = filename
         summary["benchmark"] = report["benchmark"]
+        summary["checks"] = _checks_summary(report)
         host = _host_summary(report)
         if host is not None:
             summary["host"] = host
@@ -247,9 +267,16 @@ def main(argv: list[str] | None = None) -> int:
     for key, summary in trajectory["benchmarks"].items():
         drift = summary.get("drift")
         drift_txt = "n/a (distributional)" if drift is None else str(drift)
+        checks = summary["checks"]
+        checks_txt = (
+            "no checks recorded"
+            if checks is None
+            else f"checks {checks['pass']} pass / {checks['fail']} fail / "
+            f"{checks['skipped']} skipped"
+        )
         print(
             f"{key:>10}: {summary['headline_speedup']:8.1f}x  "
-            f"({summary['headline']}; drift {drift_txt})"
+            f"({summary['headline']}; drift {drift_txt}; {checks_txt})"
         )
     for name, obs in trajectory["obs"].items():
         if "error" in obs:

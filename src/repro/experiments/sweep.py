@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ..obs.host import affinity_cpu_count
 from ..rfid import _native
 
 __all__ = [
@@ -973,8 +974,8 @@ def run_sweep(
 
     Returns one payload dict per input point, **aligned to input order**
     (duplicate points share one execution and one payload).  Misses run
-    across a ``ProcessPoolExecutor`` — ``max_workers=None`` uses the CPU
-    count, ``0``/``1`` runs in-process — and ``pool.map`` preserves
+    across a ``ProcessPoolExecutor`` — ``max_workers=None`` uses the cores
+    the process affinity mask exposes, ``0``/``1`` runs in-process — and ``pool.map`` preserves
     submission order, so results are deterministic for any worker count.
 
     ``cache=None`` uses the default on-disk cache unless ``REPRO_CACHE=0``
@@ -1000,7 +1001,7 @@ def run_sweep(
             else:
                 missing.append(canonical)
         if missing:
-            workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+            workers = max_workers if max_workers is not None else affinity_cpu_count()
             workers = max(1, min(workers, len(missing)))
             if workers <= 1:
                 payloads = [_execute_canonical(c) for c in missing]

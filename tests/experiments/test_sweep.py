@@ -14,6 +14,7 @@ The layer's contracts, in order of importance:
    worker count; duplicate points execute once.
 """
 
+import importlib
 import json
 from dataclasses import replace
 
@@ -322,6 +323,23 @@ class TestScheduler:
             engine="serial",
         )
         assert _sans_engine(records_from_payload(parallel[4])) == _sans_engine(direct)
+
+    def test_default_workers_follow_the_affinity_mask(self, tmp_path, monkeypatch):
+        # A host whose affinity mask exposes one core runs every miss inline,
+        # however many cores the machine itself has.
+        sweep_mod = importlib.import_module("repro.experiments.sweep")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("opened a process pool on a 1-core affinity mask")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr(sweep_mod, "affinity_cpu_count", lambda: 1)
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        points = [_point(base_seed=seed) for seed in (5, 6, 7)]
+        cache = TrialCache(tmp_path)
+        payloads = run_sweep(points, cache=cache)
+        assert cache.misses == 3
+        assert len(payloads) == 3
 
     def test_duplicate_points_execute_once(self, tmp_path):
         cache = TrialCache(tmp_path)

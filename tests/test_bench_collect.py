@@ -229,6 +229,48 @@ class TestCollectTrajectory:
         assert mr["sketch_compute_ratio_max_readers"] == 0.83
         assert mr["source"] == "BENCH_multireader.json"
 
+    def test_check_verdicts_fold_into_counts_and_non_passes(self, collect, tmp_path):
+        _write_engine_report(tmp_path)
+        path = tmp_path / "BENCH_engine.json"
+        report = json.loads(path.read_text())
+        report["checks"] = [
+            {"name": "engine.drift", "status": "pass", "reason": "0.0 == 0.0"},
+            {
+                "name": "engine.batched_speedup",
+                "status": "skipped",
+                "reason": "no smoke threshold",
+            },
+            {
+                "name": "engine.threaded_speedup",
+                "status": "fail",
+                "reason": "1.11 >= 1.6 does not hold",
+            },
+        ]
+        path.write_text(json.dumps(report))
+        engine = collect.collect_trajectory(tmp_path)["benchmarks"]["engine"]
+        assert engine["checks"] == {
+            "pass": 1,
+            "fail": 1,
+            "skipped": 1,
+            "not_passed": [
+                {
+                    "name": "engine.batched_speedup",
+                    "status": "skipped",
+                    "reason": "no smoke threshold",
+                },
+                {
+                    "name": "engine.threaded_speedup",
+                    "status": "fail",
+                    "reason": "1.11 >= 1.6 does not hold",
+                },
+            ],
+        }
+
+    def test_reports_without_checks_pass_through_as_null(self, collect, tmp_path):
+        _write_scale_report(tmp_path)
+        scale = collect.collect_trajectory(tmp_path)["benchmarks"]["scale"]
+        assert scale["checks"] is None
+
     def test_empty_directory_collects_nothing(self, collect, tmp_path):
         trajectory = collect.collect_trajectory(tmp_path)
         assert trajectory["benchmarks"] == {}
