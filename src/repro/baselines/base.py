@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.accuracy import AccuracyRequirement
+from ..rfid.air import Protocol, run_protocol
 from ..rfid.reader import Reader
 from ..rfid.tags import TagPopulation
 from ..timing.accounting import TimeLedger
@@ -68,7 +69,15 @@ class CardinalityEstimator:
         return self.estimate_with_reader(reader)
 
     def estimate_with_reader(self, reader: Reader) -> EstimationResult:
-        """Run the protocol on a caller-provided reader."""
+        """Run the protocol on a caller-provided (event or analytic) reader."""
+        return run_protocol(self.protocol(reader), reader)
+
+    def protocol(self, reader: Reader) -> Protocol:
+        """The protocol as a generator of air requests (:mod:`repro.rfid.air`).
+
+        Estimators written this way run unchanged on the serial, analytic
+        and batched engines; the others override :meth:`estimate_with_reader`.
+        """
         raise NotImplementedError
 
     def _result(

@@ -34,17 +34,27 @@ once per round, not once per slot).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 from scipy.stats import binom
 
 from ..core.accuracy import AccuracyRequirement
-from ..rfid.hashing import geometric_hash
+from ..rfid.air import AirRequest, Protocol
+from ..rfid.occupancy import sample_aloha_empty
 from ..rfid.reader import Reader
-from .base import CardinalityEstimator, EstimationResult
-from .framedaloha import run_aloha_frame
-from .lof import FM_PHI
+from .base import CardinalityEstimator
+from .framedaloha import aloha_empty_counts_batch, run_aloha_frame
+from .lof import FM_PHI, LotteryFrames
 
-__all__ = ["SRC", "src_round_count", "SRC_OPTIMAL_LOAD", "SRC_FRAME_CONSTANT"]
+__all__ = [
+    "SRC",
+    "BalancedFrame",
+    "src_round_count",
+    "SRC_OPTIMAL_LOAD",
+    "SRC_FRAME_CONSTANT",
+]
 
 _PHASE_ROUGH = "src-rough"
 _PHASE_MAIN = "src-rounds"
@@ -62,10 +72,12 @@ _ROUND_SUCCESS: float = 0.8
 _MAX_ROUND_RETRIES: int = 6
 
 
+@lru_cache(maxsize=64)
 def src_round_count(delta: float, max_rounds: int = 99) -> int:
     """Smallest odd m with P[Binomial(m, 0.8) ≥ (m+1)/2] ≥ 1 − δ.
 
-    Examples: δ=0.3 → 1, δ=0.15 → 3, δ=0.10 → 5, δ=0.05 → 7.
+    Examples: δ=0.3 → 1, δ=0.15 → 3, δ=0.10 → 5, δ=0.05 → 7.  Memoised:
+    every SRC trial asks, and each answer costs a few SciPy tail sums.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -74,6 +86,55 @@ def src_round_count(delta: float, max_rounds: int = 99) -> int:
         if float(binom.sf(need - 1, m, _ROUND_SUCCESS)) >= 1.0 - delta:
             return m
     return max_rounds
+
+
+@dataclass(frozen=True)
+class BalancedFrame(AirRequest):
+    """One phase-2 SRC round: parameters, then a framed-ALOHA frame.
+
+    The 80-bit broadcast carries the seed (32), ρ (32) and the frame size
+    (16); every tag joins with probability ``sampling_prob`` and answers in
+    one of ``frame_size`` slots.  Observation: the number of empty slots.
+    """
+
+    frame_size: int
+    sampling_prob: float
+    phase: str = _PHASE_MAIN
+
+    def batch_key(self):
+        return (BalancedFrame, self.frame_size, self.phase)
+
+    def _meter(self, reader) -> None:
+        reader.broadcast_bits(80, phase=self.phase, label="round-params")
+        reader.ledger.record_uplink(self.frame_size, phase=self.phase, label="frame")
+
+    def run(self, reader) -> int:
+        frame = run_aloha_frame(
+            reader.population,
+            frame_size=self.frame_size,
+            sampling_prob=self.sampling_prob,
+            seed=int(reader.fresh_seeds(1)[0]),
+        )
+        self._meter(reader)
+        return frame.empty_slots
+
+    def run_analytic(self, reader) -> int:
+        empty = sample_aloha_empty(reader.rng, reader.n, self.frame_size, self.sampling_prob)
+        self._meter(reader)
+        return empty
+
+    @classmethod
+    def run_batch(cls, population, readers, requests) -> list[int]:
+        seeds = np.array([reader.fresh_seeds(1)[0] for reader in readers], dtype=np.uint64)
+        empty = aloha_empty_counts_batch(
+            population,
+            frame_size=requests[0].frame_size,
+            sampling_probs=np.array([request.sampling_prob for request in requests]),
+            seeds=seeds,
+        )
+        for reader, request in zip(readers, requests):
+            request._meter(reader)
+        return empty.tolist()
 
 
 class SRC(CardinalityEstimator):
@@ -105,21 +166,12 @@ class SRC(CardinalityEstimator):
         """Per-round frame size f = ⌈C_SRC/ε²⌉."""
         return int(np.ceil(SRC_FRAME_CONSTANT / self.requirement.eps**2))
 
-    def estimate_with_reader(self, reader: Reader) -> EstimationResult:
+    def protocol(self, reader: Reader) -> Protocol:
         req = self.requirement
-        ids = reader.population.tag_ids
 
         # ---- phase 1: one lottery frame for a rough bound
-        seed = int(reader.fresh_seeds(1)[0])
-        reader.broadcast_bits(32, phase=_PHASE_ROUGH, label="seed")
-        buckets = geometric_hash(ids, seed, max_bits=self.rough_slots)
-        busy = np.zeros(self.rough_slots, dtype=bool)
-        if ids.size:
-            busy[buckets] = True
-        reader.sense_slots(busy, phase=_PHASE_ROUGH, label="lottery-frame")
-        idle = ~busy
-        first_idle = float(np.argmax(idle)) if idle.any() else float(self.rough_slots)
-        n_working = max(2.0**first_idle / FM_PHI, 1.0)
+        first_idle = yield LotteryFrames(1, self.rough_slots, _PHASE_ROUGH)
+        n_working = max(2.0 ** float(first_idle[0]) / FM_PHI, 1.0)
 
         # ---- phase 2: m balanced rounds, median-combined
         m = src_round_count(req.delta)
@@ -129,18 +181,9 @@ class SRC(CardinalityEstimator):
         for round_idx in range(m):
             for attempt in range(_MAX_ROUND_RETRIES + 1):
                 rho = float(min(1.0, SRC_OPTIMAL_LOAD * f / n_working))
-                # Broadcast: seed (32) + rho (32) + frame size (16) bits.
-                reader.broadcast_bits(80, phase=_PHASE_MAIN, label="round-params")
-                frame_seed = int(reader.fresh_seeds(1)[0])
-                frame = run_aloha_frame(
-                    reader.population,
-                    frame_size=f,
-                    sampling_prob=rho,
-                    seed=frame_seed,
-                )
-                reader.sense_slots(frame.busy, phase=_PHASE_MAIN, label="frame")
+                empty = yield BalancedFrame(f, rho)
                 total_frames += 1
-                z = frame.empty_fraction
+                z = empty / f
                 if z >= 1.0 - 0.5 / f:
                     # Starved: nobody responded → working bound far too high
                     # (unless ρ is already 1, in which case the range really
@@ -154,8 +197,7 @@ class SRC(CardinalityEstimator):
                         n_working *= 4.0
                         continue
                 z_clamped = min(max(z, 0.5 / f), 1.0 - 0.5 / f)
-                est = -f * float(np.log(z_clamped)) / rho
-                estimates.append(est)
+                estimates.append(-f * float(np.log(z_clamped)) / rho)
                 break
         n_hat = float(np.median(estimates))
         return self._result(

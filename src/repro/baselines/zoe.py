@@ -33,16 +33,18 @@ simulation for no behavioural difference).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core.accuracy import AccuracyRequirement
+from ..rfid.air import AirRequest, Protocol
 from ..rfid.reader import Reader
-from .base import CardinalityEstimator, EstimationResult
+from .base import CardinalityEstimator
 from .lof import LOF
 
-__all__ = ["ZOE", "zoe_optimal_load", "zoe_required_frames"]
+__all__ = ["ZOE", "ZeroOneSlots", "zoe_optimal_load", "zoe_required_frames"]
 
-_PHASE_ROUGH = "zoe-rough"
 _PHASE_MAIN = "zoe-frames"
 
 #: σ(x)_max in the paper's frame-count formula.
@@ -85,6 +87,28 @@ def zoe_required_frames(lmbda: float, eps: float, d: float) -> int:
     return int(min(max(m, 1), _MAX_FRAMES))
 
 
+@dataclass(frozen=True)
+class ZeroOneSlots(AirRequest):
+    """``count`` single-slot frames at persistence ``q``.
+
+    Each frame costs a 32-bit seed broadcast plus one uplink bit-slot.
+    Observation: how many of the frames came back idle.  Each outcome is
+    drawn as ``Binomial(n, q) == 0`` from ``rng`` (ZOE's own stream; see
+    the module's simulation note), so no engine has a batched kernel for it.
+    """
+
+    q: float
+    count: int
+    rng: np.random.Generator
+    phase: str = _PHASE_MAIN
+
+    def run(self, reader) -> int:
+        reader.ledger.record_downlink(32, phase=self.phase, label="seed", count=self.count)
+        reader.ledger.record_uplink(1, phase=self.phase, label="slot", count=self.count)
+        responders = self.rng.binomial(reader.n, self.q, size=self.count)
+        return int((responders == 0).sum())
+
+
 class ZOE(CardinalityEstimator):
     """Zero-One Estimator with an LOF rough phase.
 
@@ -108,13 +132,12 @@ class ZOE(CardinalityEstimator):
             raise ValueError("rough_rounds must be positive")
         self.rough_rounds = rough_rounds
 
-    def estimate_with_reader(self, reader: Reader) -> EstimationResult:
+    def protocol(self, reader: Reader) -> Protocol:
         req = self.requirement
-        n_true = reader.population.size
         rng = np.random.default_rng(reader.seed + 0x20E)
 
         # ---- rough phase: LOF × rough_rounds (shares the reader's ledger)
-        rough = LOF(rounds=self.rough_rounds).estimate_with_reader(reader)
+        rough = yield from LOF(rounds=self.rough_rounds).protocol(reader)
         n_rough = max(rough.n_hat, 1.0)
 
         # ---- persistence tuned to the optimal load at the rough estimate
@@ -123,18 +146,12 @@ class ZOE(CardinalityEstimator):
         d = req.d
 
         # ---- single-slot frames with periodic m re-evaluation
-        believed_lam = q * n_rough
-        m_target = zoe_required_frames(believed_lam, req.eps, d)
+        m_target = zoe_required_frames(q * n_rough, req.eps, d)
         idle = 0
         frames = 0
         while frames < m_target and frames < _MAX_FRAMES:
             batch = min(_BATCH, m_target - frames)
-            # Each frame: 32-bit seed broadcast + one uplink bit-slot.
-            reader.ledger.record_downlink(32, phase=_PHASE_MAIN, label="seed", count=batch)
-            reader.ledger.record_uplink(1, phase=_PHASE_MAIN, label="slot", count=batch)
-            # Slot outcomes: idle iff Binomial(n, q) == 0 (ideal hashing).
-            responders = rng.binomial(n_true, q, size=batch)
-            idle += int((responders == 0).sum())
+            idle += yield ZeroOneSlots(q, batch, rng)
             frames += batch
             # Update believed λ from the data seen so far and re-plan m.
             z_bar = _clamped_idle_fraction(idle, frames)

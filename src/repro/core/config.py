@@ -15,6 +15,7 @@ frozen dataclass, with the paper's values as defaults:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["BFCEConfig", "DEFAULT_CONFIG"]
 
@@ -101,6 +102,22 @@ class BFCEConfig:
     def pn_max(self) -> int:
         """Largest persistence numerator on the grid (pn_denom − 1)."""
         return self.pn_denom - 1
+
+    @cached_property
+    def phase_message(self):
+        """The parameter broadcast opening every BFCE phase frame.
+
+        Built here, once per config, so every engine and phase — probe,
+        rough, accurate, multi-reader — meters the same field widths.
+        """
+        from ..rfid.protocol import bfce_phase_message  # rfid imports core
+
+        return bfce_phase_message(
+            self.k,
+            preloaded_constants=self.preloaded_constants,
+            seed_bits=self.seed_bits,
+            p_bits=self.p_bits,
+        )
 
     def p_of(self, pn: int) -> float:
         """Convert a persistence numerator to the probability p = pn/denom."""

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..rfid.hashing import derive_rn_from_ids, xor_bitget_hash
 from ..rfid.reader import Reader
-from ..rfid.protocol import bfce_phase_message
 from ..rfid.tags import TagPopulation
 from .config import BFCEConfig, DEFAULT_CONFIG
 
@@ -132,8 +131,7 @@ def take_census(
             "(the reader must recompute slots from tagIDs)"
         )
     rdr = reader if reader is not None else Reader(population, seed=seed)
-    message = bfce_phase_message(config.k, preloaded_constants=config.preloaded_constants)
-    rdr.broadcast(message, phase=_PHASE)
+    rdr.broadcast(config.phase_message, phase=_PHASE)
     seeds = rdr.fresh_seeds(config.k)
     frame = rdr.sense_frame(
         w=config.w, seeds=seeds, p_n=config.pn_denom, observe_slots=config.w,

@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs import metrics as _metrics
-from ..obs.trace import span as _span
-from ..rfid.protocol import bfce_phase_message
+from ..rfid.air import BFCEFrame, Protocol, run_protocol
 from ..rfid.reader import Reader
 from .config import BFCEConfig, DEFAULT_CONFIG
 
-__all__ = ["ProbeResult", "probe_persistence"]
+__all__ = ["ProbeResult", "probe_persistence", "probe_phase"]
 
 PHASE = "probe"
 
@@ -61,39 +60,23 @@ def probe_persistence(
     *,
     phase: str = PHASE,
 ) -> ProbeResult:
-    """Run the adaptive probe and return a usable persistence numerator."""
-    with _span(PHASE, pn_start=config.probe_start_pn) as sp:
-        result = _probe_loop(reader, config, phase)
-        _metrics.inc("probe.rounds", result.rounds)
-        if sp:
-            sp.set(pn=result.pn, rounds=result.rounds, mixed=result.mixed)
-        return result
+    """Run the adaptive probe on ``reader`` and return a usable numerator."""
+    result = run_protocol(probe_phase(config, phase), reader)
+    _metrics.inc("probe.rounds", result.rounds)
+    return result
 
 
-def _probe_loop(reader: Reader, config: BFCEConfig, phase: str) -> ProbeResult:
+def probe_phase(config: BFCEConfig = DEFAULT_CONFIG, phase: str = PHASE) -> Protocol:
+    """The probe as a protocol generator (see :mod:`repro.rfid.air`).
+
+    Yields one :class:`~repro.rfid.air.BFCEFrame` per round, receives the
+    idle-slot count, and returns the :class:`ProbeResult`.
+    """
     pn = config.probe_start_pn
     history: list[int] = []
-    message = bfce_phase_message(
-        config.k,
-        preloaded_constants=config.preloaded_constants,
-        seed_bits=config.seed_bits,
-        p_bits=config.p_bits,
-    )
     for round_idx in range(config.max_probe_rounds):
         history.append(pn)
-        with _span("frame", pn=pn, slots=config.probe_slots) as fr:
-            reader.broadcast(message, phase=phase)
-            seeds = reader.fresh_seeds(config.k)
-            frame = reader.sense_frame(
-                w=config.w,
-                seeds=seeds,
-                p_n=pn,
-                observe_slots=config.probe_slots,
-                phase=phase,
-            )
-            if fr:
-                fr.set(idle_slots=frame.ones)
-        ones = frame.ones
+        ones = yield BFCEFrame(config, pn, config.probe_slots, phase)
         if 0 < ones < config.probe_slots:
             return ProbeResult(pn=pn, rounds=round_idx + 1, mixed=True, history=tuple(history))
         if ones == config.probe_slots:

@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs import metrics as _metrics
-from ..obs.trace import span as _span
-from ..rfid.protocol import bfce_phase_message
+from ..rfid.air import BFCEFrame, Protocol, run_protocol
 from ..rfid.reader import Reader
 from .config import BFCEConfig, DEFAULT_CONFIG
 from .estmath import estimate_cardinality, rho_is_valid
 
-__all__ = ["RoughResult", "rough_estimate"]
+__all__ = ["RoughResult", "rough_estimate", "rough_phase"]
 
 PHASE = "rough"
 
@@ -69,47 +68,29 @@ def rough_estimate(
     *,
     phase: str = PHASE,
 ) -> RoughResult:
-    """Run the rough phase with probed numerator ``pn`` and return n̂_low."""
+    """Run the rough phase on ``reader`` with probed numerator ``pn``."""
+    result = run_protocol(rough_phase(pn, config, phase), reader)
+    _metrics.inc("rough.retries", result.retries)
+    return result
+
+
+def rough_phase(
+    pn: int, config: BFCEConfig = DEFAULT_CONFIG, phase: str = PHASE
+) -> Protocol:
+    """The rough phase as a protocol generator (see :mod:`repro.rfid.air`).
+
+    Yields one truncated :class:`~repro.rfid.air.BFCEFrame` per attempt,
+    receives the idle-slot count, and returns the :class:`RoughResult`.
+    """
     if not config.pn_min <= pn <= config.pn_max:
         raise ValueError(f"pn must be in [{config.pn_min}, {config.pn_max}], got {pn}")
-    with _span(PHASE, pn_start=pn) as sp:
-        result = _rough_loop(reader, pn, config, phase)
-        _metrics.inc("rough.retries", result.retries)
-        if sp:
-            sp.set(
-                n_rough=result.n_rough,
-                n_low=result.n_low,
-                pn=result.pn,
-                rho=result.rho,
-                retries=result.retries,
-            )
-        return result
-
-
-def _rough_loop(reader: Reader, pn: int, config: BFCEConfig, phase: str) -> RoughResult:
-    message = bfce_phase_message(
-        config.k,
-        preloaded_constants=config.preloaded_constants,
-        seed_bits=config.seed_bits,
-        p_bits=config.p_bits,
-    )
     retries = 0
     while True:
-        with _span("frame", pn=pn, slots=config.rough_slots) as fr:
-            reader.broadcast(message, phase=phase)
-            seeds = reader.fresh_seeds(config.k)
-            frame = reader.sense_frame(
-                w=config.w,
-                seeds=seeds,
-                p_n=pn,
-                observe_slots=config.rough_slots,
-                phase=phase,
-            )
-            if fr:
-                fr.set(rho=frame.rho)
-        if rho_is_valid(frame.rho):
+        ones = yield BFCEFrame(config, pn, config.rough_slots, phase)
+        rho = ones / config.rough_slots
+        if rho_is_valid(rho):
             break
-        if frame.rho == 1.0 and pn == config.pn_max:
+        if rho == 1.0 and pn == config.pn_max:
             # All idle even at the grid's maximum persistence: the range is
             # effectively empty (n far below the protocol's design floor of
             # ~1000 tags).  Report a zero rough estimate instead of failing.
@@ -118,20 +99,20 @@ def _rough_loop(reader: Reader, pn: int, config: BFCEConfig, phase: str) -> Roug
             raise RuntimeError(
                 "rough phase could not obtain a mixed frame: population is "
                 f"outside the estimable range for w={config.w} "
-                f"(last rho={frame.rho}, pn={pn})"
+                f"(last rho={rho}, pn={pn})"
             )
         retries += 1
-        if frame.rho == 1.0:
+        if rho == 1.0:
             # All idle → too few responses → raise p (double, clamp to grid).
             pn = min(pn * 2, config.pn_max)
         else:
             # All busy → too many responses → lower p (halve, clamp to grid).
             pn = max(pn // 2, config.pn_min)
-    n_rough = estimate_cardinality(frame.rho, config.w, config.k, config.p_of(pn))
+    n_rough = estimate_cardinality(rho, config.w, config.k, config.p_of(pn))
     return RoughResult(
         n_rough=n_rough,
         n_low=config.c * n_rough,
         pn=pn,
-        rho=frame.rho,
+        rho=rho,
         retries=retries,
     )

@@ -36,7 +36,6 @@ from ..core.optimal_p import find_optimal_pn
 from ..core.probe import probe_persistence
 from ..core.rough import rough_estimate
 from ..obs import metrics as _metrics
-from ..rfid.protocol import bfce_phase_message
 from ..rfid.reader import Reader
 from ..timing.accounting import TimeLedger
 from .frames import slot_response_counts
@@ -182,8 +181,7 @@ class MultiReaderSystem:
         through the caller's accounting.
         """
         cfg = self.config
-        message = bfce_phase_message(cfg.k, preloaded_constants=cfg.preloaded_constants)
-        ledger.record_downlink(message.bits, phase=phase, label="params")
+        ledger.record_downlink(cfg.phase_message.bits, phase=phase, label="params")
         busy_union = np.zeros(observe_slots, dtype=bool)
         for r in range(self.coverage.n_readers):
             pop = self.coverage.reader_population(r)

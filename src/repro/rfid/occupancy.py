@@ -267,7 +267,7 @@ class AnalyticReader:
     persistence_mode: str = "event"
     pn_denom: int = PERSISTENCE_DENOM
     ledger: TimeLedger = field(init=False)
-    _rng: np.random.Generator = field(init=False, repr=False)
+    rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -280,16 +280,20 @@ class AnalyticReader:
         if self.pn_denom <= 0:
             raise ValueError(f"pn_denom must be positive, got {self.pn_denom}")
         self.ledger = TimeLedger(timing=self.timing)
-        self._rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
     # air interface (mirrors Reader)
     # ------------------------------------------------------------------
+    def execute(self, request):
+        """Run one protocol request (:mod:`repro.rfid.air`) by sampling."""
+        return request.run_analytic(self)
+
     def fresh_seeds(self, k: int) -> np.ndarray:
         """Draw ``k`` fresh 32-bit random seeds from the reader's stream."""
         if k <= 0:
             raise ValueError("k must be positive")
-        return self._rng.integers(0, 1 << 32, size=k, dtype=np.uint64)
+        return self.rng.integers(0, 1 << 32, size=k, dtype=np.uint64)
 
     def broadcast(self, message: MessageSpec, *, phase: str = "") -> None:
         """Transmit one parameter message to all tags (metered downlink)."""
@@ -315,7 +319,7 @@ class AnalyticReader:
         the reader's stream instead).
         """
         counts = sample_slot_counts(
-            self._rng,
+            self.rng,
             n=self.n,
             k=len(seeds),
             p_n=p_n,
@@ -324,7 +328,7 @@ class AnalyticReader:
             mode=self.persistence_mode,
             pn_denom=self.pn_denom,
         )
-        busy = self.channel.observe(counts, rng=self._rng)
+        busy = self.channel.observe(counts, rng=self.rng)
         bloom = (~busy).astype(np.uint8)
         result = FrameResult(
             bloom=bloom,

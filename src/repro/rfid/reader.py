@@ -64,6 +64,15 @@ class Reader:
     # ------------------------------------------------------------------
     # air interface
     # ------------------------------------------------------------------
+    @property
+    def n(self) -> int:
+        """Number of tags in range (simulator-side ground truth)."""
+        return self.population.size
+
+    def execute(self, request):
+        """Run one protocol request (:mod:`repro.rfid.air`) against the tags."""
+        return request.run(self)
+
     def fresh_seeds(self, k: int) -> np.ndarray:
         """Draw ``k`` fresh 32-bit random seeds from the reader's stream."""
         if k <= 0:

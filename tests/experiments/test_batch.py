@@ -123,16 +123,6 @@ class TestBatchedTrialRunner:
         with pytest.raises(ValueError, match="engine"):
             run_bfce_trials(pop, trials=1, engine="warp")
 
-    def test_estimator_factory_requires_serial_engine(self):
-        pop = TagPopulation(uniform_ids(100, seed=9))
-        with pytest.raises(ValueError, match="estimator_factory"):
-            run_bfce_trials(
-                pop,
-                trials=1,
-                engine="batched",
-                estimator_factory=lambda req: BFCE(requirement=req),
-            )
-
     def test_trials_validated(self):
         pop = TagPopulation(uniform_ids(100, seed=10))
         with pytest.raises(ValueError):

@@ -41,16 +41,6 @@ def test_run_trials_nonbatchable_fallback_is_surfaced(pop_small):
     assert metrics.get("engine.select.serial") == 1
 
 
-def _fallback_via_estimator_factory(pop):
-    from repro.core.bfce import BFCE
-    from repro.experiments.runner import run_bfce_trials
-
-    def factory(req):
-        return BFCE(requirement=req)
-
-    return run_bfce_trials(pop, trials=1, engine="auto", estimator_factory=factory)
-
-
 def _fallback_via_noisy_channel(pop):
     from repro.experiments.batch import run_bfce_trials_batched
     from repro.rfid.channel import NoisyChannel
@@ -68,13 +58,12 @@ def _fallback_via_nonbatchable_baseline(pop):
 @pytest.mark.parametrize(
     "run",
     [
-        _fallback_via_estimator_factory,
         _fallback_via_noisy_channel,
         _fallback_via_nonbatchable_baseline,
     ],
 )
 def test_every_engine_fallback_site_is_surfaced(run, pop_small):
-    """Each of the three serial fallbacks warns, counts once and marks its
+    """Each of the two serial fallbacks warns, counts once and marks its
     records as served by the serial engine."""
     with pytest.warns(EngineFallbackWarning, match="fell back to 'serial'"):
         records = run(pop_small)

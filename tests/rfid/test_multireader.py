@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bfce import BFCE
+from repro.core.config import BFCEConfig
 from repro.rfid.ids import uniform_ids
 from repro.rfid.multireader import (
     CoverageMap,
@@ -75,6 +76,21 @@ class TestMultiReaderSystem:
         multi = MultiReaderSystem(cov).estimate(seed=9)
         single = BFCE().estimate(TagPopulation(ids.copy()), seed=9)
         assert multi.n_hat == pytest.approx(single.n_hat, rel=1e-12)
+
+    def test_accurate_broadcast_width_follows_config(self):
+        """The accurate-phase broadcast uses the config's field widths, as
+        single-reader BFCE's does (3 seeds × 16 bits + a 10-bit p_n)."""
+        cfg = BFCEConfig(seed_bits=16, p_bits=10)
+        ids = uniform_ids(20_000, seed=1)
+        cov = CoverageMap.random_overlap(ids, 2, overlap=0.2, seed=2)
+        multi = MultiReaderSystem(cov, config=cfg).estimate(seed=5)
+        single = BFCE(config=cfg).estimate(TagPopulation(ids.copy()), seed=5)
+
+        def accurate_downlinks(ledger):
+            return [m.bits for m in ledger if m.phase == "accurate" and m.direction == "down"]
+
+        assert accurate_downlinks(multi.ledger) == accurate_downlinks(single.ledger) == [58]
+        assert multi.wallclock_seconds == single.elapsed_seconds
 
     def test_wallclock_constant_in_reader_count(self):
         ids = uniform_ids(50_000, seed=5)

@@ -9,7 +9,9 @@ behaviour break.
 import numpy as np
 import pytest
 
+from repro.baselines import LOF, SRC, ZOE
 from repro.core.bfce import bfce_estimate
+from repro.experiments.runner import run_trials
 from repro.rfid.hashing import mix64, xor_bitget_hash
 from repro.rfid.ids import uniform_ids
 from repro.timing.accounting import TimeLedger
@@ -53,3 +55,27 @@ class TestGoldenEstimate:
         assert ledger.total_seconds() == pytest.approx(
             (128 * 37.76 + 302 + 8192 * 18.88 + 302) * 1e-6, rel=1e-12
         )
+
+
+class TestGoldenAnalyticBaselines:
+    """Analytic LOF / ZOE / SRC at n = 20 000, seeds 3 and 4.
+
+    The KS equivalence suite cannot see a reordered RNG draw; these exact
+    values can.  ``(n_hat, seconds)`` per seed.
+    """
+
+    @pytest.mark.parametrize(
+        "estimator, expected",
+        [
+            (LOF(), [(19762.91519610484, 0.02416479999999999),
+                     (16052.475227021212, 0.02416479999999999)]),
+            (ZOE(), [(20003.231101821388, 5.486634400000002),
+                     (19533.026500556378, 5.7155344)]),
+            (SRC(), [(20004.33983345534, 0.55643008),
+                     (19812.516450192277, 0.55643008)]),
+        ],
+        ids=["LOF", "ZOE", "SRC"],
+    )
+    def test_reference_runs(self, estimator, expected):
+        records = run_trials(estimator, 20_000, trials=2, base_seed=3, engine="analytic")
+        assert [(r.n_hat, r.seconds) for r in records] == expected
