@@ -9,9 +9,15 @@ import pytest
 
 from repro.core.bfce import BFCE
 from repro.core.config import BFCEConfig
+from repro.rfid.air import run_protocol
 from repro.rfid.ids import uniform_ids
 from repro.rfid.reader import Reader
 from repro.rfid.tags import TagPopulation
+
+
+def _accurate(bfce, reader, pn):
+    """Run only BFCE's accurate phase on ``reader``, starting at ``pn``."""
+    return run_protocol(bfce._accurate_phase(pn), reader)
 
 
 class TestAccurateFrameRetries:
@@ -22,7 +28,7 @@ class TestAccurateFrameRetries:
         pop = TagPopulation(uniform_ids(60, seed=1))
         reader = Reader(pop, seed=2)
         bfce = BFCE()
-        n_hat, rho, pn_final, retries = bfce._accurate_frame(reader, 1)
+        n_hat, rho, pn_final, retries = _accurate(bfce, reader, 1)
         assert retries >= 1
         assert pn_final > 1
         assert 0.0 < rho < 1.0
@@ -33,7 +39,7 @@ class TestAccurateFrameRetries:
         pop = TagPopulation(uniform_ids(3_000_000, seed=3))
         reader = Reader(pop, seed=4)
         bfce = BFCE()
-        n_hat, rho, pn_final, retries = bfce._accurate_frame(reader, 1023)
+        n_hat, rho, pn_final, retries = _accurate(bfce, reader, 1023)
         assert retries >= 1
         assert pn_final < 1023
         assert n_hat == pytest.approx(3_000_000, rel=0.1)
@@ -43,7 +49,7 @@ class TestAccurateFrameRetries:
 
         pop = TagPopulation(np.array([], dtype=np.uint64))
         reader = Reader(pop, seed=5)
-        n_hat, rho, pn_final, retries = BFCE()._accurate_frame(reader, 1023)
+        n_hat, rho, pn_final, retries = _accurate(BFCE(), reader, 1023)
         assert n_hat == 0.0
         assert rho == 1.0
 
@@ -66,7 +72,7 @@ class TestAccurateFrameRetries:
         pop = TagPopulation(uniform_ids(200_000, seed=10))
         reader = Reader(pop, seed=11)
         with pytest.raises(RuntimeError, match="stuck all-busy at pn_min"):
-            BFCE(config=cfg)._accurate_frame(reader, cfg.pn_min)
+            _accurate(BFCE(config=cfg), reader, cfg.pn_min)
         phases = {p.phase: p for p in reader.ledger.phase_breakdown()}
         # Fail-fast contract: exactly one frame was aired, not 1 + 8 retries.
         assert phases["accurate"].uplink_slots == cfg.w
@@ -75,7 +81,7 @@ class TestAccurateFrameRetries:
         """Every retry adds one broadcast + one full frame to the ledger."""
         pop = TagPopulation(uniform_ids(60, seed=8))
         reader = Reader(pop, seed=9)
-        BFCE()._accurate_frame(reader, 1)
+        _accurate(BFCE(), reader, 1)
         phases = {p.phase: p for p in reader.ledger.phase_breakdown()}
         acc = phases["accurate"]
         assert acc.uplink_slots % 8192 == 0

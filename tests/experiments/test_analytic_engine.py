@@ -169,6 +169,11 @@ class TestEnginePlumbing:
         records = run_trials(LOF(), 4_000, trials=2, engine="analytic")
         assert all(r.n_true == 4_000 for r in records)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_analytic_baseline_runner_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_trials(LOF(), 4_000, trials=trials, engine="analytic")
+
     def test_unsupported_baseline_rejected(self):
         class CustomLOF(LOF):
             pass

@@ -323,3 +323,33 @@ def test_single_process_run_flushes_metrics_at_exit(tmp_path):
     calls = int(child.stdout.split()[-1])
     totals = metrics_totals(load_trace(path))
     assert totals.get("kernel.native.calls", 0) == calls
+
+
+def test_frame_spans_carry_request_and_observation(tmp_path):
+    """The engines tag each ``frame`` / ``frame.batch`` span from the
+    request and its observation, so traces keep per-frame detail."""
+    from repro.core.bfce import BFCE
+    from repro.experiments.batch import run_bfce_trials_batched
+    from repro.rfid.ids import uniform_ids
+    from repro.rfid.tags import TagPopulation
+
+    path = tmp_path / "t.jsonl"
+    trace.configure(path)
+    pop = TagPopulation(uniform_ids(5_000, seed=1))
+    BFCE().estimate(pop, seed=2)
+    run_bfce_trials_batched(pop, trials=2, base_seed=3)
+    trace.configure(None)
+    spans = [r for r in _read_records(path) if r.get("t") == "span"]
+
+    frames = [s for s in spans if s["name"] == "frame"]
+    assert {f["attrs"]["phase"] for f in frames} == {"probe", "rough", "accurate"}
+    for f in frames:
+        attrs = f["attrs"]
+        assert {"pn", "slots", "idle_slots", "rho"} <= set(attrs)
+        assert attrs["rho"] == attrs["idle_slots"] / attrs["slots"]
+
+    batches = [s for s in spans if s["name"] == "frame.batch"]
+    assert {b["attrs"]["phase"] for b in batches} == {"probe", "rough", "accurate"}
+    for b in batches:
+        attrs = b["attrs"]
+        assert 0 <= attrs["idle_slots"] <= attrs["trials"] * attrs["slots"]
