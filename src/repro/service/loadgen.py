@@ -25,6 +25,11 @@ and a ``progress`` callback receives each completed second's entry as it
 closes — the client-side mirror of the server's 1 s telemetry windows,
 which is what lets tests reconcile the two independent views of the same
 load.
+
+Non-429 failures are counted in ``errors`` and broken down in
+``errors_by_code``: ``{code: {"count": n, "first_error": message}}``, keyed
+by the response's ``code`` as a string, so a failed run says which errors
+it saw without a rerun.
 """
 
 from __future__ import annotations
@@ -86,6 +91,11 @@ async def _client(
                 counters["shed"] += 1
             else:
                 counters["errors"] += 1
+                entry = counters["errors_by_code"].setdefault(
+                    str(response.get("code")),
+                    {"count": 0, "first_error": response.get("error")},
+                )
+                entry["count"] += 1
 
         while sent < requests or pending:
             while sent < requests and len(pending) < pipeline:
@@ -140,7 +150,7 @@ async def run_load(
     if not zones:
         raise ValueError("run_load needs at least one zone name")
     latencies: list[float] = []
-    counters = {"ok": 0, "shed": 0, "errors": 0}
+    counters = {"ok": 0, "shed": 0, "errors": 0, "errors_by_code": {}}
     buckets: dict[int, list[float]] = {}
     per_second: list[dict] = []
     next_second = 0
@@ -215,6 +225,7 @@ async def run_load(
         ok=counters["ok"],
         shed=counters["shed"],
         errors=counters["errors"],
+        errors_by_code=counters["errors_by_code"],
         seconds=elapsed,
         rps=total / elapsed if elapsed > 0 else 0.0,
         p50_ms=1e3 * (_exact_quantile(latencies, 0.50) or 0.0),

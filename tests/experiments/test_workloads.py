@@ -103,3 +103,34 @@ class TestByteBudgetCache:
         assert info.currsize == 0
         assert info.hits == 0 and info.misses >= 2
         population_cache_clear()
+
+
+class TestColdPathAvoidsHashUnique:
+    """NumPy 2.4's ``unique`` is a hash kernel ~60x slower than a sort on
+    10^6 IDs; a cold population build or sweep point must not reach it.
+    Patching it to raise makes any regression fail deterministically."""
+
+    def test_cold_build_and_sweep_never_call_numpy_unique(self, monkeypatch, tmp_path):
+        from repro.experiments.sweep import SweepPoint, TrialCache, run_sweep
+        from repro.rfid.multireader import CoverageMap
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.unique reached on the cold sweep path")
+
+        population_cache_clear()
+        monkeypatch.setattr(np, "unique", forbidden)
+        try:
+            pop = population("T1", 10**5, seed=17)
+            assert pop.size == 10**5
+            cover = CoverageMap.random_overlap(pop.tag_ids, 4, overlap=0.2, seed=3)
+            assert cover.reader_population(0).size > 0
+            common = {"distribution": "T1", "n": 10**4, "trials": 2, "pop_seed": 17}
+            points = [
+                SweepPoint.bfce_trials(base_seed=5, engine="batched", **common),
+                SweepPoint.baseline_trials("LOF", base_seed=6, engine="batched", **common),
+            ]
+            # A fresh cache directory: both points must execute, not load.
+            for payload in run_sweep(points, max_workers=1, cache=TrialCache(tmp_path)):
+                assert len(payload["records"]) == 2
+        finally:
+            population_cache_clear()

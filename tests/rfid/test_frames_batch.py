@@ -129,6 +129,36 @@ class TestBatchKernelEquivalence:
             assert np.array_equal(ref.bloom, batch.blooms[t])
 
 
+class TestPrefixIndexKeyWidth:
+    """``prefix_index`` sorts 16-bit masks as ``uint16`` (NumPy's radix path)
+    and wider masks as ``uint32``; the order must be that of a stable sort of
+    the full ``uint32`` keys either way."""
+
+    @pytest.mark.parametrize(
+        "w, observe_slots",
+        [(8192, 32), (8192, 1024), (1 << 16, 32), (1 << 17, 32), (1 << 20, 64)],
+    )
+    def test_order_matches_uint32_stable_sort(self, w, observe_slots):
+        pop = TagPopulation(uniform_ids(20_000, seed=21))
+        h_mask, order, sorted_keys = frames_mod._BatchWorkspace().prefix_index(
+            pop, w, observe_slots
+        )
+        keys = pop.rn & np.uint32((w - 1) ^ (observe_slots - 1))
+        assert (int(h_mask) <= 0xFFFF) == (w <= 1 << 16)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert sorted_keys.dtype == np.uint32
+        assert np.array_equal(sorted_keys, keys[order])
+
+    @pytest.mark.parametrize("mode", ["event", "static"])
+    def test_wide_mask_batch_matches_serial(self, mode):
+        """At w = 2^17 the mask exceeds 16 bits and the uint32 sort stays;
+        the truncated batch still equals the serial frame bit for bit."""
+        pop = TagPopulation(uniform_ids(20_000, seed=22), persistence_mode=mode)
+        _assert_batch_matches_serial(
+            pop, w=1 << 17, seeds=_seed_matrix(8, seed=23), pns=PN_CASES, observe_slots=32
+        )
+
+
 class TestBatchFrameResult:
     def test_accessors_and_frame_materialisation(self):
         pop = TagPopulation(uniform_ids(1_000, seed=14))

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.rfid.ids as ids_mod
 from repro.rfid.ids import (
     DISTRIBUTIONS,
     ID_SPACE_MAX,
+    all_distinct,
     approx_normal_ids,
     make_ids,
     normal_ids,
+    sorted_unique,
     uniform_ids,
 )
 
@@ -118,3 +121,78 @@ class TestRegistry:
     def test_distribution_sample_method(self):
         ids = DISTRIBUTIONS["T1"].sample(50, seed=14)
         assert ids.size == 50
+
+
+class TestSortedDedupe:
+    """The sort-based dedupe must reproduce NumPy's ``unique`` exactly: every
+    generator's output (and so every seeded population) depends on it."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [5, 5, 5],
+            [9, 3, 9, 1, 3, 3, 2**63 + 1, 0],
+            list(range(10, 0, -1)),
+            np.random.default_rng(0).integers(0, 500, size=2_000).tolist(),
+        ],
+    )
+    def test_sorted_unique_matches_numpy_unique(self, values):
+        arr = np.array(values, dtype=np.uint64)
+        out = sorted_unique(arr)
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, np.unique(arr))
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([], True),
+            ([4], True),
+            ([1, 2, 3], True),
+            ([3, 2, 1], True),
+            ([2, 9, 1, 5], True),
+            ([1, 2, 2, 3], False),
+            ([3, 1, 2, 1], False),
+            ([6, 6, 6], False),
+        ],
+    )
+    def test_all_distinct(self, values, expected):
+        assert all_distinct(np.array(values, dtype=np.uint64)) is expected
+
+
+class TestGeneratorsMatchUniqueReference:
+    """Each generator equals a run whose dedupe is NumPy's ``unique``."""
+
+    CASES = [
+        (uniform_ids, 5_000, 11, {}),
+        (normal_ids, 5_000, 12, {}),
+        (approx_normal_ids, 5_000, 13, {}),
+        (normal_ids, 500, 14, {"low": 1, "high": 2_000}),
+        (approx_normal_ids, 500, 15, {"low": 1, "high": 2_000}),
+    ]
+
+    @pytest.mark.parametrize("gen, n, seed, kwargs", CASES)
+    def test_pinned_seed(self, monkeypatch, gen, n, seed, kwargs):
+        got = gen(n, seed=seed, **kwargs)
+        monkeypatch.setattr(ids_mod, "sorted_unique", np.unique)
+        ref = gen(n, seed=seed, **kwargs)
+        assert got.dtype == ref.dtype == np.uint64
+        assert np.array_equal(got, ref)
+
+    def test_narrow_range_resamples(self, monkeypatch):
+        """1000 draws from 1500 values collide, so ``_unique_fill`` must go
+        round its resampling loop; the result still equals the reference."""
+        calls = []
+
+        def counting(values):
+            calls.append(values.size)
+            return sorted_unique(values)
+
+        monkeypatch.setattr(ids_mod, "sorted_unique", counting)
+        got = uniform_ids(1000, seed=3, low=1, high=1500)
+        assert len(calls) > 1
+        monkeypatch.setattr(ids_mod, "sorted_unique", np.unique)
+        ref = uniform_ids(1000, seed=3, low=1, high=1500)
+        assert np.array_equal(got, ref)
+        assert got.size == 1000 and all_distinct(got)

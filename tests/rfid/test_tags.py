@@ -16,6 +16,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unique"):
             TagPopulation(np.array([1, 1, 2], dtype=np.uint64))
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [5, 2, 9, 2, 7],  # unsorted, duplicates apart
+            [1, 2, 3, 3, 4],  # sorted, adjacent duplicates
+            [8, 8, 8, 8],  # all equal
+            [2**64 - 1, 1, 2**64 - 1],
+        ],
+    )
+    def test_duplicates_rejected_in_any_order(self, ids):
+        with pytest.raises(ValueError, match="tag_ids must be unique"):
+            TagPopulation(np.array(ids, dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[], [42], [1, 2, 3, 10**15], [9, 7, 5, 3, 1], [4, 1, 3, 2]],
+    )
+    def test_distinct_ids_accepted_in_any_order(self, ids):
+        pop = TagPopulation(np.array(ids, dtype=np.uint64))
+        assert pop.size == len(ids)
+        assert np.array_equal(pop.tag_ids, np.array(ids, dtype=np.uint64))
+
     def test_2d_ids_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             TagPopulation(np.ones((2, 2), dtype=np.uint64))

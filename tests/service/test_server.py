@@ -265,12 +265,43 @@ def test_loadgen_round_trip_and_metrics(cache):
 
     report = asyncio.run(scenario())
     assert report.requests == 30
-    assert report.ok == 30 and report.errors == 0 and report.shed == 0
+    assert report.ok == 30 and report.errors == 0 and report.shed == 0, (
+        report.ok,
+        report.errors_by_code,
+    )
     assert report.p50_ms <= report.p99_ms <= report.max_ms
     assert metrics.get("service.requests") == 30
     hist = metrics.histograms()["service.request.seconds"]
     assert hist["count"] == 30
     assert metrics.quantile(hist, 0.99) >= metrics.quantile(hist, 0.5)
+
+
+def test_loadgen_breaks_errors_down_by_code(cache):
+    """Every non-429 failure lands in ``errors_by_code`` under its response
+    code, with the first message seen; the counts sum to ``errors``."""
+
+    async def scenario():
+        server = await start_server(cache)
+        try:
+            return await run_load(
+                host="127.0.0.1",
+                port=server.bound_port,
+                zones=["z0", "no-such-zone"],
+                connections=2,
+                requests_per_connection=6,
+                seed_mode="warm",
+            )
+        finally:
+            await server.stop()
+
+    report = asyncio.run(scenario())
+    assert report.ok == 6 and report.errors == 6 and report.shed == 0
+    assert len(report.errors_by_code) == 1
+    (code, entry), = report.errors_by_code.items()
+    assert code.isdigit() and int(code) != 429
+    assert entry["count"] == 6
+    assert "no-such-zone" in entry["first_error"]
+    assert json.loads(json.dumps(report))["errors_by_code"] == report.errors_by_code
 
 
 def test_zone_sketch_and_merge_round_trip(cache):

@@ -226,7 +226,7 @@ def test_default_server_run_stays_breach_free_and_reconciles(cache):
         return report, reconcile
 
     report, reconcile = asyncio.run(scenario())
-    assert report.errors == 0 and report.shed == 0
+    assert report.errors == 0 and report.shed == 0, report.errors_by_code
     # The windowed mirror never drops or double-counts: every counter's
     # lifetime delta equals the sum over ring slots, bit-exactly.
     assert all(entry["exact"] for entry in reconcile.values()), reconcile
